@@ -15,18 +15,12 @@ import numpy as np
 from repro.distributions.base import Distribution
 from repro.distributions.pareto import Pareto
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_count, require_positive
 
 #: Periods drawn per vectorized block in :meth:`OnOffSource.intervals`.
 #: Must be even so each block begins in the same phase it would have under
 #: the scalar one-period-at-a-time walk.
 PERIOD_BLOCK = 16
-
-
-def _require_bin_count(n_bins) -> int:
-    if not isinstance(n_bins, (int, np.integer)) or n_bins < 0:
-        raise ValueError(f"n_bins must be an integer >= 0, got {n_bins!r}")
-    return int(n_bins)
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class OnOffSource:
         float division when ``start / bin_width`` lands within an ulp of the
         top edge.
         """
-        _require_bin_count(n_bins)
+        require_count(n_bins, "n_bins")
         require_positive(bin_width, "bin_width")
         duration = n_bins * bin_width
         if duration == 0:
@@ -154,7 +148,7 @@ def multiplex_onoff(
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
-    _require_bin_count(n_bins)
+    require_count(n_bins, "n_bins")
     src = source or OnOffSource.pareto()
     total = np.zeros(n_bins, dtype=float)
     for rng in spawn_rngs(seed, n_sources):

@@ -28,9 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributions.pareto import Pareto
-from repro.utils.binning import bin_counts
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_count, require_positive
+
+
+#: Interarrivals per frozen block of :func:`pareto_renewal_counts`.  Each
+#: block's cumulative sum starts from zero and is offset by the arrival time
+#: at the end of the previous block, so the block grid fixes the float
+#: additions — changing it changes the counts.
+RENEWAL_BLOCK = 1 << 20
+#: First sub-chunk drawn within a block; later ones grow by
+#: ``SUBCHUNK_GROWTH`` so a window that ends early in a block stops drawing
+#: soon after it.  Sub-chunks do not change the counts.
+FIRST_SUBCHUNK = 1 << 12
+SUBCHUNK_GROWTH = 4
 
 
 def pareto_renewal_arrivals(
@@ -40,10 +51,9 @@ def pareto_renewal_arrivals(
     seed: SeedLike = None,
 ) -> np.ndarray:
     """Cumulative arrival times of ``n`` i.i.d. Pareto interarrivals."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    gaps = Pareto(location, shape).sample(n, seed=seed)
-    return np.cumsum(gaps)
+    require_count(n, "n")
+    times = Pareto(location, shape).sample(n, seed=seed)
+    return np.cumsum(times, out=times)
 
 
 def pareto_renewal_counts(
@@ -55,32 +65,84 @@ def pareto_renewal_counts(
 ) -> np.ndarray:
     """Count process {X_i}: arrivals per bin, for ``n_bins`` bins of width b.
 
-    Generates interarrivals lazily in blocks until the observation window
+    Generates interarrivals lazily until the observation window
     ``n_bins * bin_width`` is covered, so enormous bins (Fig. 15 uses
-    b = 10^7) stay tractable.
+    b = 10^7, hundreds of millions of arrivals) stay tractable.
+
+    The counts are bit-identical to sampling each ``RENEWAL_BLOCK`` block
+    whole, cumsumming it, adding the previous block's last arrival time and
+    binning the arrivals ``x < n_bins * bin_width`` at ``int(x / b)``.
+    What differs is how much of the generator is consumed: drawing stops
+    within a few sub-chunks of the window's end, so a generator passed in
+    is left in a different state than the whole-block loop left it.  Pass
+    a fresh (e.g. spawned) generator per call, as every caller in the
+    package does, and no output depends on that state.
     """
+    n_bins = require_count(n_bins, "n_bins")
     require_positive(bin_width, "bin_width")
-    if n_bins < 0:
-        raise ValueError(f"n_bins must be >= 0, got {n_bins}")
+    horizon = float(n_bins * bin_width)
+    if not math.isfinite(horizon):
+        raise ValueError(f"n_bins * bin_width must be finite, got "
+                         f"{n_bins} * {bin_width!r}")
+    bin_width = float(bin_width)
     rng = as_rng(seed)
-    horizon = n_bins * bin_width
     dist = Pareto(location, shape)
 
-    # Stream interarrivals in fixed-size blocks and histogram incrementally:
-    # with beta <= 1 and the huge bins of Fig. 15 (b = 10^7) the window can
-    # contain hundreds of millions of arrivals, far too many to materialize.
     counts = np.zeros(n_bins, dtype=np.int64)
-    t = 0.0
-    block = 1 << 20
+    t = 0.0  # arrival time at the end of the previous block
     while t < horizon:
-        gaps = dist.sample(block, seed=rng)
-        cum = t + np.cumsum(gaps)
+        carry = 0.0  # running sum of the interarrivals drawn in this block
+        drawn = 0
+        size = FIRST_SUBCHUNK
+        while drawn < RENEWAL_BLOCK:
+            size = min(size, RENEWAL_BLOCK - drawn)
+            cum = dist.sample(size, seed=rng)
+            cum[0] += carry
+            np.cumsum(cum, out=cum)
+            carry = float(cum[-1])
+            cum += t
+            # Arrivals are sorted, so the window is a prefix of the chunk.
+            inside = int(np.searchsorted(cum, horizon))
+            if inside:
+                _add_sorted_bin_counts(counts, cum[:inside], bin_width)
+            if inside < size:
+                return counts
+            drawn += size
+            size *= SUBCHUNK_GROWTH
         t = float(cum[-1])
-        in_window = cum[cum < horizon]
-        if in_window.size:
-            idx = (in_window / bin_width).astype(np.int64)
-            counts += np.bincount(idx, minlength=n_bins)
     return counts
+
+
+def _add_sorted_bin_counts(counts: np.ndarray, x: np.ndarray,
+                           bin_width: float) -> None:
+    """Add the histogram of sorted, nonnegative ``x`` at ``int(x / b)``.
+
+    Bin indices past the end are clamped into the last bin: ``x`` strictly
+    inside ``n * b`` can still divide to ``n`` within an ulp of the top.
+    Bin edges become ``searchsorted`` positions of ``k * b``; ``x < k * b``
+    and ``int(x / b) >= k`` disagree within an ulp or two of the edge, so
+    any position where they do is moved across equal values until it
+    matches the division.
+    """
+    last = counts.size - 1
+    first_bin = min(int(x[0] / bin_width), last)
+    last_bin = min(int(x[-1] / bin_width), last)
+    if first_bin == last_bin:
+        counts[first_bin] += x.size
+        return
+    ks = np.arange(first_bin + 1, last_bin + 1)
+    pos = np.searchsorted(x, ks * bin_width)
+    below = (x[np.maximum(pos - 1, 0)] / bin_width).astype(np.int64)
+    above = (x[np.minimum(pos, x.size - 1)] / bin_width).astype(np.int64)
+    bad = ((pos > 0) & (below >= ks)) | ((pos < x.size) & (above < ks))
+    for j in np.flatnonzero(bad):
+        k, p = ks[j], pos[j]
+        while p < x.size and int(x[p] / bin_width) < k:
+            p = np.searchsorted(x, x[p], side="right")
+        while p > 0 and int(x[p - 1] / bin_width) >= k:
+            p = np.searchsorted(x, x[p - 1], side="left")
+        pos[j] = p
+    counts[first_bin:last_bin + 1] += np.diff(pos, prepend=0, append=x.size)
 
 
 # ----------------------------------------------------------------------

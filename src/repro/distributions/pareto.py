@@ -84,7 +84,13 @@ class Pareto(Distribution):
         rng = as_rng(seed)
         # Inverse transform on 1-U (strictly positive) avoids the q=1 pole.
         u = rng.random(size)
-        return self.location * np.power(u, -1.0 / self.shape)
+        if size is None:
+            return self.location * np.power(u, -1.0 / self.shape)
+        # In place: one buffer instead of three for the multi-million
+        # draws of the Appendix C renewal counts.
+        np.power(u, -1.0 / self.shape, out=u)
+        u *= self.location
+        return u
 
     # ------------------------------------------------------------------
     def cmex(self, x: float, **_ignored) -> float:

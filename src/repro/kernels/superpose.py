@@ -55,16 +55,12 @@ from functools import partial
 
 import numpy as np
 
-from repro.arrivals.onoff import (
-    PERIOD_BLOCK,
-    OnOffSource,
-    _require_bin_count,
-)
+from repro.arrivals.onoff import PERIOD_BLOCK, OnOffSource
 from repro.distributions.exponential import Exponential
 from repro.distributions.pareto import Pareto
 from repro.utils.pool import pool_map_shared
 from repro.utils.rng import SeedLike
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_count, require_positive
 
 #: Sources synthesized per batched chunk.  The chunk grid is the reduction
 #: unit (see the module docstring), so changing it changes the float-sum
@@ -388,7 +384,7 @@ def superpose_onoff(
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
-    n_bins = _require_bin_count(n_bins)
+    n_bins = require_count(n_bins, "n_bins")
     require_positive(bin_width, "bin_width")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -446,7 +442,7 @@ def superpose_onoff_groups(
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    n_bins = _require_bin_count(n_bins)
+    n_bins = require_count(n_bins, "n_bins")
     require_positive(bin_width, "bin_width")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -536,7 +532,7 @@ def superpose_renewal(
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
-    n_bins = _require_bin_count(n_bins)
+    n_bins = require_count(n_bins, "n_bins")
     require_positive(bin_width, "bin_width")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")

@@ -3,6 +3,7 @@
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.binning import bin_counts, bin_edges, aggregate
 from repro.utils.validation import (
+    require_count,
     require_positive,
     require_nonnegative,
     require_in_range,
@@ -16,6 +17,7 @@ __all__ = [
     "bin_counts",
     "bin_edges",
     "aggregate",
+    "require_count",
     "require_positive",
     "require_nonnegative",
     "require_in_range",

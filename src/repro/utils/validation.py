@@ -18,6 +18,17 @@ def require_positive(value: float, name: str) -> float:
     return value
 
 
+def require_count(value, name: str) -> int:
+    """Return ``value`` as an ``int`` if it is an integer >= 0, else raise.
+
+    Floats are rejected even when integral: a count that arrives as
+    ``4.0`` is a caller bug that numpy would only report much later.
+    """
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def require_nonnegative(value: float, name: str) -> float:
     """Return ``value`` if >= 0, else raise ``ValueError``."""
     if not value >= 0:
