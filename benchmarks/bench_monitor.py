@@ -136,6 +136,26 @@ def monitor_cases(scale):
 
     yield ("topk_update", n, topk_run)
 
+    # The service's shape: one update per 1 s batch of ~200 gaps, most
+    # of which cannot beat a warm reservoir's minimum.
+    batches = list(iter_batches(times, 1.0))
+    batch_gaps = [np.diff(b) for b in batches]
+    batch_stamps = [b[1:] for b in batches]
+
+    def topk_batched(gap_list):
+        def run():
+            topk = DecayedTopK(4096, decay=0.01)
+            for gaps, stamps in zip(gap_list, batch_stamps):
+                pos = gaps > 0
+                topk.update(gaps[pos], stamps[pos])
+            return topk
+        return run
+
+    yield ("topk_service_batches", n, topk_batched(batch_gaps))
+    # Gaps of microsecond-stamped arrivals: many exactly equal values.
+    quantized = [np.round(g * 1e6) / 1e6 for g in batch_gaps]
+    yield ("topk_service_batches_us", n, topk_batched(quantized))
+
     def quantile_run():
         sketch = WindowedQuantileSketch(512, window=60.0, n_panes=8)
         for gaps, stamps in zip(gap_chunks, gap_stamps):
@@ -144,7 +164,6 @@ def monitor_cases(scale):
 
     yield ("quantile_update", n, quantile_run)
 
-    batches = list(iter_batches(times, 1.0))
     config = MonitorConfig(window=60.0, bin_width=0.05, snapshot_every=5.0,
                            rate_tick=0.5)
 

@@ -342,13 +342,22 @@ class MonitorService:
 
     # -- ingestion -----------------------------------------------------
     def observe(self, times, sizes=None) -> list[MonitorSnapshot]:
-        """Absorb one batch of sorted arrival times; return new snapshots."""
+        """Absorb one batch of sorted arrival times; return new snapshots.
+
+        Every time must be finite and the batch must not go back in time
+        (equal times are fine); otherwise ``ValueError`` names the batch,
+        counted from 0 over the non-empty batches accepted so far, and
+        the position in it, and the service is left unchanged.  A batch
+        may start before the previous one ended: such stragglers, as a
+        live feed merging several sources delivers, are absorbed.
+        """
         t0 = time.perf_counter()
         arr = np.asarray(times, dtype=float)
         out: list[MonitorSnapshot] = []
         if arr.size == 0:
             self.wall_time_s += time.perf_counter() - t0
             return out
+        self._check_batch(arr)
         self.n_batches += 1
         self.n_events += int(arr.size)
         cfg = self.config
@@ -357,19 +366,22 @@ class MonitorService:
         # Inter-arrival gaps, chained across batches; each gap is stamped
         # with the arrival that closed it so decay ages it correctly.
         if math.isfinite(self._last_time):
-            gaps = np.diff(arr, prepend=self._last_time)
+            gaps = np.empty_like(arr)
+            gaps[0] = arr[0] - self._last_time
+            np.subtract(arr[1:], arr[:-1], out=gaps[1:])
+            stamps = arr
         else:
-            gaps = np.diff(arr)
+            gaps = arr[1:] - arr[:-1]
+            stamps = arr[1:]
         if gaps.size:
             pos = gaps > 0
-            if np.any(pos):
-                self.gap_tail.update(gaps[pos], arr[arr.size - gaps.size:][pos])
+            if pos.any():
+                self.gap_tail.update(gaps[pos], stamps[pos])
         if sizes is not None:
             sz = np.asarray(sizes, dtype=float)
             self.size_quantiles.update(sz, arr)
-        else:
-            if gaps.size:
-                self.size_quantiles.update(gaps, arr[arr.size - gaps.size:])
+        elif gaps.size:
+            self.size_quantiles.update(gaps, stamps)
         self.poisson_check.update(arr)
         self._update_rate_series(arr)
 
@@ -384,6 +396,29 @@ class MonitorService:
         self.wall_time_s += time.perf_counter() - t0
         return out
 
+    def _check_batch(self, arr: np.ndarray) -> None:
+        """Raise unless ``arr`` is finite and non-decreasing.
+
+        A non-decreasing array is finite when its ends are, and NaN
+        fails the order test, so the common case costs one comparison.
+        """
+        if (arr.ndim == 1 and math.isfinite(arr[0]) and math.isfinite(arr[-1])
+                and (arr[1:] >= arr[:-1]).all()):
+            return
+        where = f"observe: batch {self.n_batches}"
+        if arr.ndim != 1:
+            raise ValueError(f"{where}: times must be one-dimensional, "
+                             f"got shape {arr.shape}")
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where}: time at position {i} is "
+                             f"{float(arr[i])}; times must be finite")
+        i = int(np.argmax(arr[1:] < arr[:-1])) + 1
+        raise ValueError(f"{where}: time at position {i} ({float(arr[i])!r}) "
+                         f"is before the one at position {i - 1} "
+                         f"({float(arr[i - 1])!r}); times must be sorted")
+
     def _update_rate_series(self, arr: np.ndarray) -> None:
         """Fold a batch into fixed rate-tick buckets; every *closed*
         bucket (including empty ones the stream skipped) becomes one
@@ -392,14 +427,15 @@ class MonitorService:
         idx = np.floor((arr - cfg.start) / cfg.rate_tick).astype(np.int64)
         if self._tick_index is None:
             self._tick_index = int(idx[0])
-        buckets, counts = np.unique(idx, return_counts=True)
-        for bucket, count in zip(buckets, counts):
-            bucket = int(bucket)
+        # ``arr`` is sorted, so each bucket is one run of ``idx``.
+        cuts = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, idx.size]):
+            bucket = int(idx[lo])
             if bucket < self._tick_index:
                 continue  # straggler behind the open tick: fold forward
             while bucket > self._tick_index:
                 self._close_tick()
-            self._tick_count += int(count)
+            self._tick_count += hi - lo
 
     def _close_tick(self) -> None:
         cfg = self.config
@@ -522,8 +558,7 @@ class MonitorService:
     # -- wiring --------------------------------------------------------
     def tap(self, batch) -> None:
         """Observer-callback adapter for ``replay.Collector``."""
-        sizes = getattr(batch, "sizes", None)
-        self.observe(batch.timestamps, sizes)
+        self._observe_records(batch.timestamps, getattr(batch, "sizes", None))
 
     def attach(self, collector: "Collector") -> None:
         """Register this monitor as the collector's batch observer."""
@@ -536,10 +571,27 @@ class MonitorService:
         for batch in iter_trace_batches(path, kind=kind):
             times = getattr(batch, "timestamps", None)
             if times is None:  # connection batches carry start_times
-                self.observe(batch.start_times)
+                self._observe_records(batch.start_times)
             else:
-                self.observe(times, batch.sizes)
+                self._observe_records(times, batch.sizes)
         return self.finalize()
+
+    def _observe_records(self, times, sizes=None) -> None:
+        """:meth:`observe` a batch of records in time order.
+
+        Trace files and replayed blocks carry records in file order,
+        which a trace need not keep; they are sorted here, stably, as
+        the trace constructors sort them.  Disorder *across* batches
+        stays, and :meth:`observe` absorbs it as stragglers.
+        """
+        from repro.traces.columns import stable_time_order
+
+        order = stable_time_order(times)
+        if order is not None:
+            times = np.asarray(times)[order]
+            if sizes is not None:
+                sizes = np.asarray(sizes)[order]
+        self.observe(times, sizes)
 
     # -- results -------------------------------------------------------
     @property

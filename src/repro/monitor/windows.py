@@ -89,10 +89,14 @@ class SlidingCountLadder:
         )
         dtype = float if weighted else np.int64
         self.offset = 0  # absolute index of counts[0]
-        self.counts = np.zeros(64, dtype=dtype)
-        # Events sitting exactly on their slot's left edge (see
-        # CountLadder: needed to fold the closed-right final edge).
-        self._edge_hits = np.zeros(64, dtype=dtype)
+        # ``counts`` and ``_edge_hits`` are the ``_buf`` rows' slots
+        # ``[_head, _head + _size)``.  Eviction only advances ``_head``;
+        # the live bins move to the front of a fresh buffer when growth
+        # runs out of room behind them, so copies are amortized over
+        # every bin the window slides past.
+        self._buf = np.zeros((2, 64), dtype=dtype)
+        self._head = 0
+        self._size = 64
         self.n_events = 0        # events (or weight) in retained bins
         self.evicted_events = 0  # slid out of the window
         self.late_events = 0     # arrived behind the retained window
@@ -100,25 +104,76 @@ class SlidingCountLadder:
         self._idx_max = -1       # absolute bin index holding max_time
 
     # -- geometry ------------------------------------------------------
-    def _local_edges(self, n_local: int) -> np.ndarray:
-        """Edges for retained bins ``offset .. offset + n_local``.
+    def _edges(self, lo: int, hi: int) -> np.ndarray:
+        """Edges of retained slots ``lo .. hi`` (inclusive).
 
-        Element ``j`` is ``start + bin_width * (offset + j)`` — the same
-        float product ``CountLadder._make_edges`` produces for the
+        Element ``j`` is ``start + bin_width * (offset + lo + j)`` — the
+        same float product ``CountLadder._make_edges`` produces for the
         absolute index, so binning is bit-identical at any offset.
         """
-        idx = np.arange(self.offset, self.offset + n_local + 1, dtype=np.int64)
+        idx = np.arange(self.offset + lo, self.offset + hi + 1,
+                        dtype=np.int64)
         return self.start + self.bin_width * idx
 
+    def _bin_of(self, t: float) -> int:
+        return int(np.floor((t - self.start) / self.bin_width))
+
+    def _span_edges(self, lo: float, hi: float) -> tuple[int, np.ndarray]:
+        """``(a, edges)``: the retained edges from slot ``a`` on that a
+        search over *all* retained edges would use for times in
+        ``[lo, hi]``.
+
+        Searching ``edges`` gives the full search's position minus
+        ``a`` as long as every edge left of ``a`` is ``<= lo`` and every
+        edge right of the span is ``> hi``.  The divided estimate is one
+        slot off at most, so the span starts one slot wider and is
+        widened further only if the products say otherwise.
+        """
+        last = self._size - 1
+        a = min(max(self._bin_of(lo) - self.offset - 1, 0), last)
+        c = min(max(self._bin_of(hi) - self.offset + 2, a), last)
+        step = 1
+        while True:
+            edges = self._edges(a, c)
+            low_ok = a == 0 or edges[0] <= lo
+            high_ok = c == last or edges[-1] > hi
+            if low_ok and high_ok:
+                return a, edges
+            if not low_ok:
+                a = max(a - step, 0)
+            if not high_ok:
+                c = min(c + step, last)
+            step *= 2
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Per-slot counts of the retained bins (a view)."""
+        return self._buf[0, self._head:self._head + self._size]
+
+    @property
+    def _edge_hits(self) -> np.ndarray:
+        # Events sitting exactly on their slot's left edge (see
+        # CountLadder: needed to fold the closed-right final edge).
+        return self._buf[1, self._head:self._head + self._size]
+
+    def _relocate(self, size: int, capacity: int) -> None:
+        """Move the live bins to the front of a zeroed ``capacity``-slot
+        buffer and view its first ``size`` slots."""
+        buf = np.zeros((2, capacity), dtype=self._buf.dtype)
+        live = min(self._size, size)
+        buf[:, :live] = self._buf[:, self._head:self._head + live]
+        self._buf, self._head, self._size = buf, 0, size
+
     def _grow_to(self, n_local: int) -> None:
-        if n_local <= self.counts.size:
+        if n_local <= self._size:
             return
         grown = 1 << (n_local - 1).bit_length()
-        for attr in ("counts", "_edge_hits"):
-            new = np.zeros(grown, dtype=self.counts.dtype)
-            old = getattr(self, attr)
-            new[: old.size] = old
-            setattr(self, attr, new)
+        if self._head + grown > self._buf.shape[1]:
+            self._relocate(grown, grown)
+        else:
+            # Slots past the view are empty: eviction only trims slots
+            # past ``_idx_max``, where no event has landed.
+            self._size = grown
 
     def _evict(self) -> None:
         if self.window_bins is None:
@@ -137,9 +192,11 @@ class SlidingCountLadder:
         # slot read by ``finalize``.
         live = self._idx_max - cutoff + 2
         cap = max(64, 1 << (live - 1).bit_length())
-        self.counts = self.counts[drop:drop + cap].copy()
-        self._edge_hits = self._edge_hits[drop:drop + cap].copy()
+        self._head += drop
         self.offset = cutoff
+        self._size = min(cap, self._size - drop)
+        if self._buf.shape[1] > 2 * cap:
+            self._relocate(self._size, cap)
 
     # -- updates -------------------------------------------------------
     def update(self, times, weights=None) -> None:
@@ -154,41 +211,41 @@ class SlidingCountLadder:
             if weights is not None:
                 raise ValueError("unweighted ladder got weights")
             w = None
-        hi = float(arr.max())
+        lo, hi = float(arr.min()), float(arr.max())
         if hi > self.max_time:
             self.max_time = hi
-        needed = int(np.floor((hi - self.start) / self.bin_width)) + 2
+        needed = self._bin_of(hi) + 2
         n_local = needed - self.offset
         if n_local > 0:
             self._grow_to(n_local)
-        edges = self._local_edges(self.counts.size - 1)
+        # Bin against the batch's own span of edges: the buffer holds
+        # the whole window, a batch touches a few slots of it.
+        a, edges = self._span_edges(lo, hi)
         idx = np.searchsorted(edges, arr, side="right") - 1
         valid = idx >= 0  # before ``start``, or behind the retained window
-        if not np.all(valid):
+        if not valid.all():
             behind = arr[~valid] >= self.start
             self.late_events += int(np.count_nonzero(behind))
         idx = idx[valid]
         vals = arr[valid]
         wv = None if w is None else w[valid]
         if idx.size:
-            self._idx_max = max(self._idx_max, self.offset + int(idx.max()))
+            self._idx_max = max(self._idx_max,
+                                self.offset + a + int(idx.max()))
         on_edge = vals == edges[idx]
+        counts = self.counts[a:a + edges.size]
+        edge_hits = self._edge_hits[a:a + edges.size]
         if self.weighted:
             self.n_events += float(wv.sum())
-            self.counts += np.bincount(idx, weights=wv,
-                                       minlength=self.counts.size)
-            if np.any(on_edge):
-                self._edge_hits += np.bincount(
-                    idx[on_edge], weights=wv[on_edge],
-                    minlength=self.counts.size,
-                )
+            counts += np.bincount(idx, weights=wv, minlength=edges.size)
+            if on_edge.any():
+                edge_hits += np.bincount(idx[on_edge], weights=wv[on_edge],
+                                         minlength=edges.size)
         else:
             self.n_events += int(idx.size)
-            self.counts += np.bincount(idx, minlength=self.counts.size)
-            if np.any(on_edge):
-                self._edge_hits += np.bincount(
-                    idx[on_edge], minlength=self.counts.size
-                )
+            counts += np.bincount(idx, minlength=edges.size)
+            if on_edge.any():
+                edge_hits += np.bincount(idx[on_edge], minlength=edges.size)
         self._evict()
 
     # -- merge ---------------------------------------------------------
@@ -208,8 +265,8 @@ class SlidingCountLadder:
             counts[sl] += part.counts
             edge_hits[sl] += part._edge_hits
         self.offset = lo
-        self.counts = counts
-        self._edge_hits = edge_hits
+        self._buf = np.stack([counts, edge_hits])
+        self._head, self._size = 0, hi - lo
         self.n_events += other.n_events
         self.evicted_events += other.evicted_events
         self.late_events += other.late_events
@@ -370,6 +427,15 @@ class DecayedMoments:
 # ----------------------------------------------------------------------
 # exponentially-decayed top-k tail reservoir
 # ----------------------------------------------------------------------
+def _pair_keys(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``values + 1j * times`` without the product: numpy orders complex
+    numbers by real part, then imaginary part, as ``lexsort`` orders
+    ``(value, time)`` pairs."""
+    keys = np.empty(values.size, dtype=complex)
+    keys.real, keys.imag = values, times
+    return keys
+
+
 class DecayedTopK:
     """Top-``k`` reservoir whose items age out exponentially.
 
@@ -419,28 +485,51 @@ class DecayedTopK:
             return math.inf
         return -math.log(self.weight_floor) / self.decay
 
-    def _select(self, values: np.ndarray, times: np.ndarray,
-                evict_age: bool = True) -> None:
-        """Keep the ``capacity`` largest by value (ties broken by time so
-        the kept multiset is deterministic under any merge order).
+    def _merge_sorted(self, values: np.ndarray, times: np.ndarray) -> None:
+        """Fold candidate pairs into the stored arrays and keep the
+        ``capacity`` largest by value, ties broken by time so the kept
+        multiset is deterministic under any merge order.
 
-        Age eviction only runs on the sequential ``update`` path
-        (``evict_age=True``): inside ``merge`` the selection must be the
-        pure top-k union, because dropping by age against an
-        *intermediate* merge clock frees capacity slots in one merge
-        order but not another and top-k truncation is irreversible.
-        Items a merge retains past their floor age just carry a
-        negligible weight at query time.
+        The result is exactly a stable ``lexsort`` of the stored pairs
+        followed by the candidates, truncated to ``capacity``.  Only the
+        ``m`` candidates that can make the cut are sorted; each lands by
+        binary search after any stored pair it ties with: O(m log m +
+        m log n), plus one O(n) copy when any survive.  Times must be
+        finite, as the tie-break key is complex.
         """
-        if evict_age and self.decay > 0.0 and values.size:
-            young = (self.t_ref - times) <= self._max_age
-            values, times = values[young], times[young]
+        sv, st = self.values, self.times
+        if sv.size >= self.capacity:
+            # Full: a candidate strictly below the minimum pair would be
+            # truncated again.  Ties stay, since they sort after it.
+            v0, t0 = sv[0], st[0]
+            keep = ~((values < v0) | ((values == v0) & (times < t0)))
+            if not keep.all():
+                values, times = values[keep], times[keep]
+        if values.size == 0:
+            return
         order = np.lexsort((times, values))
         values, times = values[order], times[order]
-        if values.size > self.capacity:
-            values = values[values.size - self.capacity:]
-            times = times[times.size - self.capacity:]
-        self.values, self.times = values, times
+        pos = np.searchsorted(sv, values, side="right")
+        if sv.size:
+            # A value already stored goes among its equals by time: they
+            # are one run, sorted by time, ending at ``pos``.  (Written
+            # as "not below" so that NaN, which sorts last, ties NaN.)
+            tied = (pos > 0) & ~(sv[pos - 1] < values)
+            if tied.any():
+                a = int(np.searchsorted(sv, values[tied], side="left").min())
+                b = int(pos[tied].max())
+                pos[tied] = a + np.searchsorted(
+                    _pair_keys(sv[a:b], st[a:b]),
+                    _pair_keys(values[tied], times[tied]), side="right")
+        n = sv.size + values.size
+        dest = pos + np.arange(values.size)
+        stored = np.ones(n, dtype=bool)
+        stored[dest] = False
+        out_v, out_t = np.empty(n), np.empty(n)
+        out_v[dest], out_t[dest] = values, times
+        out_v[stored], out_t[stored] = sv, st
+        cut = max(n - self.capacity, 0)
+        self.values, self.times = out_v[cut:], out_t[cut:]
 
     def _advance(self, now: float) -> None:
         if now <= self.t_ref:
@@ -457,16 +546,24 @@ class DecayedTopK:
         if times is None:
             t = np.full(arr.size, self.t_ref if self.t_ref > -np.inf else 0.0)
         else:
-            t = np.broadcast_to(np.asarray(times, dtype=float), arr.shape)
+            t = np.asarray(times, dtype=float)
+            if t.shape != arr.shape:
+                t = np.broadcast_to(t, arr.shape)
         self.n_seen += int(arr.size)
         now = max(self.t_ref, float(t.max()))
         self._advance(now)
         if self.decay:
             self.n_eff += float(np.exp(-self.decay * (now - t)).sum())
+            max_age = self._max_age
+            if self.times.size and now - self.times.min() > max_age:
+                young = (now - self.times) <= max_age
+                self.values, self.times = self.values[young], self.times[young]
+            young = (now - t) <= max_age
+            if not young.all():
+                arr, t = arr[young], t[young]
         else:
             self.n_eff += float(arr.size)
-        self._select(np.concatenate([self.values, arr]),
-                     np.concatenate([self.times, t]))
+        self._merge_sorted(arr, t)
 
     def merge(self, other: "DecayedTopK") -> None:
         if (other.capacity != self.capacity or other.decay != self.decay
@@ -480,9 +577,12 @@ class DecayedTopK:
                  if now > other.t_ref and other.n_eff else 1.0)
         self.n_eff += other.n_eff * boost
         self.n_seen += other.n_seen
-        self._select(np.concatenate([self.values, other.values]),
-                     np.concatenate([self.times, other.times]),
-                     evict_age=False)
+        # A pure top-k union, with no age eviction: dropping by age
+        # against an *intermediate* merge clock frees capacity slots in
+        # one merge order but not another, and top-k truncation is
+        # irreversible.  Items a merge retains past their floor age just
+        # carry a negligible weight at query time.
+        self._merge_sorted(other.values, other.times)
 
     # -- queries -------------------------------------------------------
     def weights(self) -> np.ndarray:
@@ -596,17 +696,26 @@ class WindowedQuantileSketch:
             return
         if times is None:
             raise ValueError("a finite-window sketch requires event times")
-        t = np.broadcast_to(np.asarray(times, dtype=float), arr.shape)
+        t = np.asarray(times, dtype=float)
+        if t.shape != arr.shape:
+            t = np.broadcast_to(t, arr.shape)
         idx = np.floor((t - self.start) / self.pane_width).astype(np.int64)
         self._pane_max = max(self._pane_max, int(idx.max()))
         cutoff = self._pane_max - self.n_panes + 1
         live = idx >= cutoff
         arr, idx = arr[live], idx[live]
-        for pane in np.unique(idx):
-            sk = self._panes.get(int(pane))
+        if idx.size > 1 and (idx[1:] < idx[:-1]).any():
+            # Stable, so each pane still sees its items in arrival order.
+            order = np.argsort(idx, kind="stable")
+            arr, idx = arr[order], idx[order]
+        # One slice per run of equal panes, in ascending pane order.
+        cuts = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, idx.size] if idx.size else []):
+            pane = int(idx[lo])
+            sk = self._panes.get(pane)
             if sk is None:
-                sk = self._panes[int(pane)] = self._sketch_cls(self.capacity)
-            sk.update(arr[idx == pane])
+                sk = self._panes[pane] = self._sketch_cls(self.capacity)
+            sk.update(arr[lo:hi])
         self._evict()
 
     def _evict(self) -> None:

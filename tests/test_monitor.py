@@ -438,6 +438,35 @@ class TestMonitorService:
         assert report.n_events == times.size
         assert report.snapshots
 
+    def test_run_file_sorts_records_within_a_batch(self, tmp_path):
+        times = poisson_stream(30.0, 40.0, seed=22)
+        trace = PacketTrace.from_arrays("mon", timestamps=times)
+        path = tmp_path / "mon.pkt"
+        write_packet_trace(trace, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        for i in (5, 300, 301, 900):  # swap a few neighbouring records
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        shuffled = tmp_path / "shuffled.pkt"
+        shuffled.write_text(header + "".join(rows))
+        want = MonitorService(_test_config(20.0)).run_file(path)
+        got = MonitorService(_test_config(20.0)).run_file(shuffled)
+        assert ([s.payload() for s in got.snapshots]
+                == [s.payload() for s in want.snapshots])
+
+    def test_tap_sorts_a_replayed_block(self):
+        rng = np.random.default_rng(25)
+        times = np.sort(rng.uniform(0.0, 5.0, 300))
+        sizes = rng.uniform(40.0, 1500.0, 300)
+        order = rng.permutation(300)
+        want = MonitorService(_test_config())
+        want.observe(times, sizes)
+        got = MonitorService(_test_config())
+        got.tap(SimpleNamespace(timestamps=times[order], sizes=sizes[order]))
+        assert (got.size_quantiles.quantiles([0.1, 0.5, 0.9]).tolist()
+                == want.size_quantiles.quantiles([0.1, 0.5, 0.9]).tolist())
+        assert ([s.payload() for s in got.finalize().snapshots]
+                == [s.payload() for s in want.finalize().snapshots])
+
     def test_finalize_flushes_tail_snapshot(self):
         config = _test_config(30.0)
         service = MonitorService(config)
@@ -493,3 +522,60 @@ class TestMonitorService:
             pytest.approx(math.log(2.0) / 50.0))
         assert MonitorConfig(window=math.inf).effective_decay() == 0.0
         assert MonitorConfig(decay=0.3).effective_decay() == 0.3
+
+
+# ----------------------------------------------------------------------
+# batch boundary checks
+# ----------------------------------------------------------------------
+class TestBatchBoundary:
+    """``observe`` rejects batches that break its contract, naming the
+    batch and the position, before any sketch sees them."""
+
+    def _snapshots(self, service):
+        return [s.payload() for s in service.finalize().snapshots]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_names_batch_and_position(self, bad):
+        times = poisson_stream(12.0, 40.0, seed=26)
+        batches = list(iter_batches(times, 1.0))
+        service = MonitorService(_test_config())
+        clean = MonitorService(_test_config())
+        for batch in batches[:3]:
+            service.observe(batch)
+            clean.observe(batch)
+        broken = batches[3].copy()
+        broken[4] = bad
+        with pytest.raises(ValueError, match=r"batch 3: time at position 4 "
+                                             r"is -?(nan|inf); times must "
+                                             r"be finite"):
+            service.observe(broken)
+        # Rejected whole: the service carries on as if never offered it.
+        for batch in batches[4:]:
+            service.observe(batch)
+            clean.observe(batch)
+        assert service.n_batches == clean.n_batches
+        assert self._snapshots(service) == self._snapshots(clean)
+
+    def test_decreasing_times_name_the_position(self):
+        service = MonitorService(_test_config())
+        with pytest.raises(ValueError,
+                           match=r"batch 0: time at position 1 \(1\.0\) is "
+                                 r"before the one at position 0 \(5\.0\); "
+                                 "times must be sorted"):
+            service.observe([5.0, 1.0, 3.0, 2.0])
+        assert service.n_events == 0 and service.n_batches == 0
+        assert service.ladder.n_events == 0 and service.gap_tail.n_seen == 0
+
+    def test_single_bad_time_and_shape(self):
+        service = MonitorService(_test_config())
+        with pytest.raises(ValueError, match="position 0 is nan"):
+            service.observe([math.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            service.observe([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_ties_and_stragglers_across_batches_are_accepted(self):
+        service = MonitorService(_test_config())
+        service.observe([10.0, 10.0, 11.0, 11.0])
+        service.observe([4.0, 5.0, 5.0])  # behind the last batch
+        service.observe([12.0])
+        assert service.n_events == 8 and service.n_batches == 3

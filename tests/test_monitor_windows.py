@@ -262,3 +262,62 @@ class TestWindowing:
         sketch = WindowedQuantileSketch(16, window=10.0)
         with pytest.raises(ValueError, match="times"):
             sketch.update([1.0, 2.0])
+
+
+# ----------------------------------------------------------------------
+# Pane runs: per-pane slices equal the per-pane masks they replaced
+# ----------------------------------------------------------------------
+class FrozenWindowedQuantileSketch(WindowedQuantileSketch):
+    """The ``np.unique`` + per-pane mask update, verbatim."""
+
+    def update(self, values, times=None):
+        arr = np.asarray(values, dtype=float).ravel()
+        if arr.size == 0:
+            return
+        if math.isinf(self.window):
+            self._panes[0].update(arr)
+            return
+        if times is None:
+            raise ValueError("a finite-window sketch requires event times")
+        t = np.broadcast_to(np.asarray(times, dtype=float), arr.shape)
+        idx = np.floor((t - self.start) / self.pane_width).astype(np.int64)
+        self._pane_max = max(self._pane_max, int(idx.max()))
+        cutoff = self._pane_max - self.n_panes + 1
+        live = idx >= cutoff
+        arr, idx = arr[live], idx[live]
+        for pane in np.unique(idx):
+            sk = self._panes.get(int(pane))
+            if sk is None:
+                sk = self._panes[int(pane)] = self._sketch_cls(self.capacity)
+            sk.update(arr[idx == pane])
+        self._evict()
+
+
+class TestPaneRuns:
+    @given(st.lists(st.integers(0, 1999), min_size=0, max_size=8),
+           st.integers(0, 2 ** 31 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_masked_update(self, cuts, seed, shuffle):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(6.0, 2.0, 2000)
+        times = _times(seed=seed)
+        if shuffle:  # out-of-order times take the stable-sort path
+            times = times + rng.uniform(-15.0, 15.0, times.size)
+        fast = WindowedQuantileSketch(32, window=40.0, n_panes=4)
+        frozen = FrozenWindowedQuantileSketch(32, window=40.0, n_panes=4)
+        for piece, t in zip(_split(x, cuts), _split(times, cuts)):
+            fast.update(piece, t)
+            frozen.update(piece, t)
+            assert sorted(fast._panes) == sorted(frozen._panes)
+            for pane, sk in fast._panes.items():
+                twin = frozen._panes[pane]
+                assert sk.n == twin.n
+                assert [lv.tolist() for lv in map(np.concatenate,
+                        filter(None, sk._levels))] == [
+                    lv.tolist() for lv in map(np.concatenate,
+                        filter(None, twin._levels))]
+            assert fast.nbytes == frozen.nbytes
+            if fast.n:
+                qs = [0.0, 0.1, 0.5, 0.9, 1.0]
+                assert (fast.quantiles(qs).tolist()
+                        == frozen.quantiles(qs).tolist())
