@@ -16,21 +16,22 @@ Usage::
     python -m repro stream scan big.txt.gz --jobs 4 --bin-width 0.01
     python -m repro stream scan day1.txt day2.txt.gz   # merged in order
 
-    # flow-level network simulation (repro.flowsim):
-    python -m repro flowsim run --topology line --nodes 10
-    python -m repro flowsim run --workload both --json --out bench/
+    # scenario families from TOML specs; examples/specs/ are the presets
+    # and --set section.key=VALUE (a TOML value) overrides any schema key:
+    python -m repro scenario run examples/specs/flowsim_line.toml --json
+    python -m repro scenario run examples/specs/flowsim_line.toml \
+        --set flowsim.n_nodes=4 --set 'flowsim.workloads=["ftp"]'
+    python -m repro scenario run examples/specs/superpose_phase.toml \
+        --set superpose.battery_sources=100000 --out bench/
+    python -m repro scenario run examples/specs/shaping_grid.toml --seed 7 \
+        --set 'shaping.rate_factors=[0.5]' --set 'shaping.burst_seconds=[1]'
+    python -m repro scenario validate examples/specs/*.toml
 
     # always-on online estimation (repro.monitor):
     python -m repro monitor run --source pareto --window 60
     python -m repro monitor run --source hurst-step --duration 600 --json
 
-    # batched superposition phase diagram (repro.kernels.superpose):
-    python -m repro superpose run --replications 192 --json
-    python -m repro superpose run --battery-sources 100000 --out bench/
-
-    # in-network conditioning & policing detection (repro.shaping):
-    python -m repro shaping run --json --out bench/
-    python -m repro shaping run --rate-factors 0.5 --burst-seconds 0.25,1
+    # in-path conditioning on a live replay (repro.shaping):
     python -m repro replay loopback --packets 50000 --police-rate 30000
 
     # live traffic replay & load generation (repro.replay):
@@ -87,20 +88,6 @@ def _nonnegative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
-
-
-def _positive_float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected positive comma-separated numbers, got {text!r}"
-        )
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,58 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="traffic intensity multiplier (default: "
                             "auto-calibrated to hit --packets)")
 
-    flowsim = sub.add_parser(
-        "flowsim", help="flow-level network simulation"
-    )
-    flowsim_sub = flowsim.add_subparsers(dest="flowsim_command", required=True)
-    frun = flowsim_sub.add_parser(
-        "run",
-        help="route a synthesized workload over a topology and report "
-             "per-link Hurst estimates",
-        parents=[common],
-    )
-    frun.add_argument("--topology", choices=["line", "star", "dumbbell"],
-                      default="line", help="topology family (default line)")
-    frun.add_argument("--nodes", type=_positive_int, default=10, metavar="N",
-                      help="principal node count (default 10)")
-    frun.add_argument("--duration", type=_positive_float, default=3600.0,
-                      metavar="SECONDS",
-                      help="workload span in seconds (default 3600)")
-    frun.add_argument("--sessions-per-hour", type=_positive_float,
-                      default=4000.0, metavar="RATE",
-                      help="ftp session arrival rate (default 4000)")
-    frun.add_argument("--workload", choices=["ftp", "exponential", "both"],
-                      default="ftp",
-                      help="heavy-tailed ftp, its exponential control, or "
-                           "both back to back (default ftp)")
-    frun.add_argument("--model", choices=["msmo97", "csa00"],
-                      default="msmo97",
-                      help="TCP closure model for responsive flows "
-                           "(default msmo97)")
-    frun.add_argument("--discipline", choices=["fair", "fifo"],
-                      default="fair",
-                      help="link sharing discipline (default fair)")
-    frun.add_argument("--utilization", type=_positive_float, default=0.4,
-                      metavar="RHO",
-                      help="per-link target utilization for capacity "
-                           "calibration (default 0.4)")
-    frun.add_argument("--bin-width", type=_positive_float, default=1.0,
-                      metavar="SECONDS",
-                      help="byte-process bin width for the Hurst battery "
-                           "(default 1.0)")
-    frun.add_argument("--horizon", type=_positive_float, default=None,
-                      metavar="SECONDS",
-                      help="stop the simulation clock early (default: run "
-                           "every flow to completion)")
-    frun.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    frun.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                      help="worker processes for workload synthesis "
-                           "(default 1; outputs independent of N)")
-    frun.add_argument("--json", action="store_true", dest="as_json",
-                      help="print BENCH-shaped run metrics as JSON")
-    frun.add_argument("--out", default=None, metavar="DIR",
-                      help="write BENCH_flowsim_run.json into DIR")
-
     monitor = sub.add_parser(
         "monitor", help="always-on online estimation service"
     )
@@ -291,80 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print BENCH-shaped monitor metrics as JSON")
     mrun.add_argument("--out", default=None, metavar="DIR",
                       help="write BENCH_monitor.json into DIR")
-
-    superpose = sub.add_parser(
-        "superpose", help="batched ON/OFF superposition phase diagram"
-    )
-    superpose_sub = superpose.add_subparsers(dest="superpose_command",
-                                             required=True)
-    srun = superpose_sub.add_parser(
-        "run",
-        help="sweep the Gaussian-vs-stable phase diagram over source "
-             "count x connection-growth cells and run the Hurst battery",
-        parents=[common],
-    )
-    srun.add_argument("--replications", type=_positive_int, default=192,
-                      metavar="N",
-                      help="independent aggregates per cell (default 192)")
-    srun.add_argument("--shape", type=_positive_float, default=1.2,
-                      metavar="BETA",
-                      help="Pareto shape of the ON/OFF period laws "
-                           "(default 1.2)")
-    srun.add_argument("--battery-sources", type=_positive_int,
-                      default=50_000, metavar="N",
-                      help="sources in the Hurst-battery aggregate "
-                           "(default 50000)")
-    srun.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                      help="worker processes for the shared-memory fan-out "
-                           "(default 1; outputs independent of N)")
-    srun.add_argument("--chunk", type=_positive_int, default=8192,
-                      metavar="N",
-                      help="sources per batched chunk (default 8192)")
-    srun.add_argument("--seed", type=int, default=0, help="RNG seed")
-    srun.add_argument("--json", action="store_true", dest="as_json",
-                      help="print the phase-diagram summary as JSON")
-    srun.add_argument("--out", default=None, metavar="DIR",
-                      help="write BENCH_superpose_run.json into DIR")
-
-    shaping = sub.add_parser(
-        "shaping",
-        help="in-network policers/shapers & closed-loop policing detection",
-    )
-    shaping_sub = shaping.add_subparsers(dest="shaping_command",
-                                         required=True)
-    shrun = shaping_sub.add_parser(
-        "run",
-        help="synthesize -> police at a known rate -> detect from the "
-             "trace alone; report rate recovery over a rate x burst grid "
-             "plus the shaping Hurst-impact battery",
-        parents=[common],
-    )
-    shrun.add_argument("--model", default="ftp",
-                       help="synthesis model (default ftp)")
-    shrun.add_argument("--packets", type=_positive_int, default=60_000,
-                       metavar="N",
-                       help="synthesized packets (default 60000)")
-    shrun.add_argument("--source-rate", type=_positive_float, default=240.0,
-                       metavar="X",
-                       help="source intensity (sessions/hour for ftp; "
-                            "default 240 — dense enough to police)")
-    shrun.add_argument("--rate-factors", type=_positive_float_list,
-                       default=(0.3, 0.5, 0.8), metavar="F,F,...",
-                       help="policed rate as fractions of the mean byte "
-                            "rate (default 0.3,0.5,0.8)")
-    shrun.add_argument("--burst-seconds", type=_positive_float_list,
-                       default=(0.25, 1.0, 4.0), metavar="S,S,...",
-                       help="bucket depths in seconds of credit at the "
-                            "policed rate (default 0.25,1.0,4.0)")
-    shrun.add_argument("--shaper-rate-factors", type=_positive_float_list,
-                       default=(1.0, 1.5, 3.0), metavar="F,F,...",
-                       help="lossless shaper rates for the Hurst battery, "
-                            "as mean-rate factors >= 1 (default 1.0,1.5,3.0)")
-    shrun.add_argument("--seed", type=int, default=7, help="RNG seed")
-    shrun.add_argument("--json", action="store_true", dest="as_json",
-                       help="print the closed-loop report as JSON")
-    shrun.add_argument("--out", default=None, metavar="DIR",
-                       help="write BENCH_shaping_run.json into DIR")
 
     replay = sub.add_parser(
         "replay", help="live traffic replay & load generation"
@@ -486,17 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sub = scenario.add_subparsers(dest="scenario_command",
                                            required=True)
+    spec_common = argparse.ArgumentParser(add_help=False)
+    spec_common.add_argument("specs", nargs="+", metavar="spec.toml",
+                             help="scenario spec file(s), in order")
+    spec_common.add_argument(
+        "--set", action="append", default=[], dest="overrides",
+        metavar="SECTION.KEY=VALUE",
+        help="override one spec key before resolution (repeatable); VALUE "
+             "is a TOML value, else a bare string")
     scrun = scenario_sub.add_parser(
         "run", help="execute scenario spec file(s) through the cached engine",
-        parents=[common],
+        parents=[common, spec_common],
     )
-    scrun.add_argument("specs", nargs="+", metavar="spec.toml",
-                       help="scenario spec file(s), executed in order")
     scrun.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="shard workers (default 1; sketch-merge algebra "
                             "keeps results independent of N)")
     scrun.add_argument("--seed", type=int, default=None,
-                       help="override the spec's [scenario].seed")
+                       help="same as --set scenario.seed=N")
     scrun.add_argument("--json", action="store_true", dest="as_json",
                        help="print BENCH-shaped scenario payloads as JSON")
     scrun.add_argument("--out", default=None, metavar="DIR",
@@ -506,12 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     scrun.add_argument("--cache-dir", default=None,
                        help="cache root (default: $REPRO_CACHE_DIR or "
                             "~/.cache/repro)")
-    scval = scenario_sub.add_parser(
+    scenario_sub.add_parser(
         "validate", help="strictly resolve spec file(s); print normalized form",
-        parents=[common],
+        parents=[common, spec_common],
     )
-    scval.add_argument("specs", nargs="+", metavar="spec.toml",
-                       help="scenario spec file(s) to validate")
     return parser
 
 
@@ -619,49 +484,6 @@ def _write_bench_json(payload: dict, out_dir: str, name: str) -> str:
     return path
 
 
-def _flowsim_command(args) -> int:
-    import time
-
-    from repro.flowsim.scenario import FlowScenario
-
-    workloads = (
-        ["ftp", "exponential"] if args.workload == "both"
-        else [args.workload]
-    )
-    payload: dict = {"scenarios": {}}
-    renders = []
-    for workload in workloads:
-        scenario = FlowScenario(
-            topology=args.topology,
-            n_nodes=args.nodes,
-            duration=args.duration,
-            sessions_per_hour=args.sessions_per_hour,
-            workload=workload,
-            model=args.model,
-            discipline=args.discipline,
-            utilization=args.utilization,
-            bin_width=args.bin_width,
-        )
-        t0 = time.perf_counter()
-        out = scenario.run(seed=args.seed, jobs=args.jobs,
-                           horizon=args.horizon)
-        elapsed = time.perf_counter() - t0
-        summary = out.summary()
-        summary["wall_time_s"] = elapsed
-        summary["flows_per_second"] = out.result.n_flows / elapsed
-        payload["scenarios"][workload] = summary
-        renders.append(out.render()
-                       + f"\n  [{elapsed:.2f}s wall, "
-                         f"{summary['flows_per_second']:,.0f} flows/s]")
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_flowsim_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n\n".join(renders))
-    return 0
-
-
 #: Named synthetic scenarios for ``repro monitor run --source``.
 MONITOR_SCENARIOS = ("poisson", "pareto", "hurst-step", "markov-onoff",
                      "diurnal-ramp")
@@ -719,63 +541,6 @@ def _monitor_command(args) -> int:
     else:
         print(report.render())
     return 0
-
-
-def _superpose_command(args) -> int:
-    import time
-
-    from repro.experiments.superpose_exp import superpose
-
-    t0 = time.perf_counter()
-    result = superpose(
-        seed=args.seed,
-        replications=args.replications,
-        pareto_shape=args.shape,
-        battery_sources=args.battery_sources,
-        jobs=args.jobs,
-        chunk=args.chunk,
-    )
-    elapsed = time.perf_counter() - t0
-    payload = result.payload()
-    payload["wall_time_s"] = round(elapsed, 3)
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_superpose_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.render())
-        print(f"  [{elapsed:.1f}s wall]")
-    return 0
-
-
-def _shaping_command(args) -> int:
-    import time
-
-    from repro.shaping import ShapingScenario
-    from repro.shaping.scenario import run_scenario as run_shaping
-
-    scenario = ShapingScenario(
-        model=args.model,
-        n_packets=args.packets,
-        source_rate=args.source_rate,
-        rate_factors=args.rate_factors,
-        burst_seconds=args.burst_seconds,
-        shaper_rate_factors=args.shaper_rate_factors,
-        seed=args.seed,
-    )
-    t0 = time.perf_counter()
-    report = run_shaping(scenario)
-    elapsed = time.perf_counter() - t0
-    payload = report.payload()
-    payload["wall_time_s"] = round(elapsed, 3)
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_shaping_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-        print(f"  [{elapsed:.1f}s wall]")
-    return 0 if report.recovery_ok else 1
 
 
 def _build_replay_source(args):
@@ -964,41 +729,45 @@ def _replay_command(args) -> int:
 
 
 def _scenario_command(args) -> int:
-    from repro.scenario import SpecError, dump_spec, load_spec
+    from repro.scenario import (
+        SpecError,
+        apply_overrides,
+        dump_spec,
+        load_spec,
+        resolve,
+    )
 
-    if args.scenario_command == "validate":
-        status = 0
-        for path in args.specs:
-            try:
-                text = dump_spec(load_spec(path))
-            except (OSError, SpecError) as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                status = 2
-                continue
+    overrides = list(args.overrides)
+    if getattr(args, "seed", None) is not None:
+        overrides.append(f"scenario.seed={args.seed}")
+    # Resolve every document before running any, so a typo anywhere
+    # fails fast with its key path.
+    docs, status = [], 0
+    for path in args.specs:
+        try:
+            docs.append(resolve(apply_overrides(load_spec(path), overrides)))
+        except (OSError, SpecError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            status = 2
+            continue
+        if args.scenario_command == "validate":
             print(f"# {path}: valid")
-            print(text)
+            print(dump_spec(docs[-1]))
+    if status or args.scenario_command == "validate":
         return status
 
     from repro.scenario import run_spec_cached
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     failures = 0
-    for path in args.specs:
+    for path, doc in zip(args.specs, docs):
         try:
-            doc = load_spec(path)
-        except (OSError, SpecError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            outcome, status = run_spec_cached(
-                doc, jobs=args.jobs, seed=args.seed,
-                cache=cache, use_cache=not args.no_cache,
+            outcome, state = run_spec_cached(
+                doc, jobs=args.jobs, cache=cache,
+                use_cache=not args.no_cache,
             )
-        except SpecError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 2
         except Exception as exc:  # noqa: BLE001 - report, keep batch going
-            print(f"{path}: {outcome_name(doc)} failed: {exc}",
+            print(f"{path}: {doc['scenario']['name']} failed: {exc}",
                   file=sys.stderr)
             failures += 1
             continue
@@ -1010,15 +779,8 @@ def _scenario_command(args) -> int:
         else:
             print(outcome.rendered)
             print(f"[{outcome.name} ({outcome.kind}): "
-                  f"{outcome.compute_time_s:.1f}s, cache {status}]")
+                  f"{outcome.compute_time_s:.1f}s, cache {state}]")
     return 1 if failures else 0
-
-
-def outcome_name(doc: dict) -> str:
-    scenario = doc.get("scenario")
-    if isinstance(scenario, dict):
-        return str(scenario.get("name", "<unnamed>"))
-    return "<unnamed>"
 
 
 #: ``repro list`` groups, matched against the registry entry's module
@@ -1088,14 +850,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.command == "stream":
         return _stream_command(args)
-    if args.command == "flowsim":
-        return _flowsim_command(args)
     if args.command == "monitor":
         return _monitor_command(args)
-    if args.command == "superpose":
-        return _superpose_command(args)
-    if args.command == "shaping":
-        return _shaping_command(args)
     if args.command == "replay":
         return _replay_command(args)
     if args.command == "scenario":

@@ -48,6 +48,10 @@ class FlowsimComparisonResult:
     def control_near_half(self) -> bool:
         return abs(self.control.mean_hurst - 0.5) < 0.1
 
+    def payload(self) -> dict:
+        return {"scenarios": {"ftp": self.ftp.summary(),
+                              "exponential": self.control.summary()}}
+
     def render(self) -> str:
         table = format_table(
             self.rows(),
@@ -65,21 +69,10 @@ def run_config(cfg: dict, seed: SeedLike = 0, jobs: int = 1):
     has always reported.  A single workload returns its bare
     :class:`~repro.flowsim.scenario.ScenarioResult`.
     """
-    workloads = tuple(cfg.get("workloads", ("ftp", "exponential")))
-    outs = {}
-    for workload in workloads:
-        scenario = FlowScenario(
-            topology=cfg.get("topology", "line"),
-            n_nodes=cfg.get("n_nodes", 10),
-            duration=cfg.get("duration", 3600.0),
-            sessions_per_hour=cfg.get("sessions_per_hour", 4000.0),
-            workload=workload,
-            model=cfg.get("model", "msmo97"),
-            discipline=cfg.get("discipline", "fair"),
-            utilization=cfg.get("utilization", 0.4),
-            bin_width=cfg.get("bin_width", 1.0),
-        )
-        outs[workload] = scenario.run(seed=seed, jobs=jobs)
+    workloads = tuple(cfg["workloads"])
+    params = {k: v for k, v in cfg.items() if k != "workloads"}
+    outs = {w: FlowScenario(workload=w, **params).run(seed=seed, jobs=jobs)
+            for w in workloads}
     if set(workloads) == {"ftp", "exponential"}:
         return FlowsimComparisonResult(ftp=outs["ftp"],
                                        control=outs["exponential"])

@@ -141,9 +141,7 @@ def run_config(cfg: dict, seed: SeedLike = 0,
     ``jobs`` is accepted for runner-signature uniformity; the battery is
     a closed loop over one service per stream and runs serially.
     """
-    duration = cfg.get("duration", 400.0)
-    rate = cfg.get("rate", 50.0)
-    window = cfg.get("window", 60.0)
+    duration, rate, window = cfg["duration"], cfg["rate"], cfg["window"]
     rngs = spawn_rngs(seed, 5)
     config = _test_config(window)
     step_duration = max(duration * 1.5, duration + 4 * window)

@@ -14,8 +14,10 @@ coarse-scale LRD slope — the paper's actual finding — is conserved.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.scenario import execute
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, as_rng
 
 
 def run_config(cfg: dict, seed: SeedLike = 7,
@@ -25,19 +27,14 @@ def run_config(cfg: dict, seed: SeedLike = 7,
     # registry back — a module-level import here would close the cycle.
     from repro.shaping.scenario import ShapingScenario, run_scenario
 
-    scenario = ShapingScenario(
-        model=cfg.get("model", "ftp"),
-        n_packets=cfg.get("n_packets", 60_000),
-        source_rate=cfg.get("source_rate", 240.0),
-        rate_factors=tuple(cfg.get("rate_factors", (0.3, 0.5, 0.8))),
-        burst_seconds=tuple(cfg.get("burst_seconds", (0.25, 1.0, 4.0))),
-        shaper_rate_factors=tuple(
-            cfg.get("shaper_rate_factors", (1.0, 1.5, 3.0))),
-        hurst_bin_s=cfg.get("hurst_bin_s", 0.01),
-        hurst_split_level=cfg.get("hurst_split_level", 8),
-        seed=7 if seed is None else int(seed),
-    )
-    return run_scenario(scenario)
+    if seed is None:
+        seed = 7
+    elif not isinstance(seed, numbers.Integral):
+        # A spawned stream: draw the scenario's integer seed from it.
+        seed = as_rng(seed).integers(2**63)
+    lists = ("rate_factors", "burst_seconds", "shaper_rate_factors")
+    params = {k: tuple(v) if k in lists else v for k, v in cfg.items()}
+    return run_scenario(ShapingScenario(seed=int(seed), **params))
 
 
 def shaping(seed: SeedLike = 7) -> "ShapingReport":  # noqa: F821

@@ -41,10 +41,11 @@ from repro.distributions.exponential import Exponential
 from repro.distributions.pareto import hill_estimator
 from repro.experiments.report import format_table
 from repro.kernels import superpose_onoff, superpose_onoff_groups
-from repro.scenario import execute
+from repro.scenario import execute, resolve_section
 from repro.selfsim.counts import CountProcess
 from repro.selfsim.variance_time import variance_time_curve
 from repro.stats import anderson_darling_normal
+from repro.utils.rng import SeedLike
 
 #: Phase-diagram grid: (regime, sources per replication, horizon).  Slow
 #: cells pack many sources into a short horizon (every heavy period is
@@ -201,12 +202,18 @@ class SuperposePhaseDiagram:
         return "\n".join(lines)
 
 
-def run_config(cfg: dict, seed=0, jobs: int = 1) -> SuperposePhaseDiagram:
-    """The superpose family runner: one resolved ``[superpose]`` section."""
-    replications = cfg.get("replications", 192)
-    pareto_shape = cfg.get("pareto_shape", 1.2)
-    battery_sources = cfg.get("battery_sources", 50_000)
-    chunk = cfg.get("chunk", 8192)
+def run_config(cfg: dict, seed: SeedLike = 0,
+               jobs: int = 1) -> SuperposePhaseDiagram:
+    """The superpose family runner: one ``[superpose]`` section.
+
+    ``cfg`` may be partial; it is resolved against the schema first, so
+    defaults and bounds come from :data:`repro.scenario.SCHEMA` alone.
+    """
+    cfg = resolve_section("superpose", cfg)["superpose"]
+    replications = cfg["replications"]
+    pareto_shape = cfg["pareto_shape"]
+    battery_sources = cfg["battery_sources"]
+    chunk = cfg["chunk"]
     if replications < 8:
         raise ValueError(f"replications must be >= 8, got {replications}")
     location = 0.1  # short mean periods: many ON/OFF cycles per horizon
@@ -217,7 +224,13 @@ def run_config(cfg: dict, seed=0, jobs: int = 1) -> SuperposePhaseDiagram:
     mean_period = location * pareto_shape / (pareto_shape - 1.0)
     control = OnOffSource(Exponential(mean_period), Exponential(mean_period))
 
-    seqs = np.random.SeedSequence(seed).spawn(len(CELLS) + 2)
+    # A Generator contributes its SeedSequence, so spawned children stay
+    # picklable SeedSequences for the jobs > 1 fan-out.
+    if isinstance(seed, np.random.Generator):
+        seed = seed.bit_generator.seed_seq
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    seqs = seed.spawn(len(CELLS) + 2)
     cells = []
     for (regime, n_sources, horizon), seq in zip(CELLS, seqs):
         totals = superpose_onoff_groups(

@@ -200,6 +200,9 @@ class ScenarioResult:
             "mean_hurst": (self.mean_hurst if self.link_hurst else None),
         }
 
+    def payload(self) -> dict:
+        return {"scenarios": {self.scenario.workload: self.summary()}}
+
     def render(self) -> str:
         s = self.summary()
         lines = [

@@ -17,6 +17,7 @@ from repro.scenario.spec import (
     SCHEMA,
     STAGES,
     SpecError,
+    apply_overrides,
     canonical_json,
     dump_spec,
     load_spec,
@@ -34,6 +35,7 @@ __all__ = [
     "STAGES",
     "SpecError",
     "ScenarioOutcome",
+    "apply_overrides",
     "canonical_json",
     "dump_spec",
     "execute",

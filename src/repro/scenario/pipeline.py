@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 
 from repro.scenario.spec import (
+    apply_overrides,
     canonical_json,
     resolve,
     resolve_section,
@@ -243,18 +244,27 @@ _RUNNERS = {
 # Entry points
 
 
-def run_spec(doc: dict, *, jobs: int = 1, seed=None) -> ScenarioOutcome:
+def _resolve_seeded(doc: dict, seed: int | None) -> dict:
+    """Resolve ``doc`` with an integer ``seed`` written into
+    ``scenario.seed``, so the payload, digest and cache key describe the
+    run that actually happens."""
+    if seed is not None:
+        doc = apply_overrides(doc, [f"scenario.seed={int(seed)}"])
+    return resolve(doc)
+
+
+def run_spec(doc: dict, *, jobs: int = 1,
+             seed: int | None = None) -> ScenarioOutcome:
     """Resolve one document and execute it.
 
     ``seed`` overrides ``scenario.seed`` when given (the CLI's ``--seed``);
     ``jobs`` fans shardable stages over worker processes — outputs are
     independent of it by the merge-algebra contract.
     """
-    resolved = resolve(doc)
-    if seed is None:
-        seed = resolved["scenario"]["seed"]
+    resolved = _resolve_seeded(doc, seed)
+    scenario = resolved["scenario"]
     t0 = time.perf_counter()
-    result = _RUNNERS[resolved["scenario"]["kind"]](resolved, seed, jobs)
+    result = _RUNNERS[scenario["kind"]](resolved, scenario["seed"], jobs)
     elapsed = time.perf_counter() - t0
     return ScenarioOutcome(
         spec=resolved, result=result, rendered=result.render(),
@@ -280,7 +290,7 @@ def run_spec_cached(
     doc: dict,
     *,
     jobs: int = 1,
-    seed=None,
+    seed: int | None = None,
     cache=None,
     use_cache: bool = True,
 ) -> tuple[ScenarioOutcome, str]:
@@ -294,22 +304,21 @@ def run_spec_cached(
     """
     from repro.engine.cache import CacheEntry, ResultCache, content_digest
 
-    resolved = resolve(doc)
-    if seed is None:
-        seed = resolved["scenario"]["seed"]
+    resolved = _resolve_seeded(doc, seed)
     if not use_cache:
-        return run_spec(resolved, jobs=jobs, seed=seed), "off"
+        return run_spec(resolved, jobs=jobs), "off"
     store = cache if cache is not None else ResultCache()
     digest = content_digest(PIPELINE_MODULE, canonical_json(resolved))
     name = f"scenario-{resolved['scenario']['name']}"
-    key = store.key(name, f"master:{seed}", digest)
+    seed_token = f"master:{resolved['scenario']['seed']}"
+    key = store.key(name, seed_token, digest)
     entry = store.get(key)
     if entry is not None:
         return entry.result, "hit"
-    outcome = run_spec(resolved, jobs=jobs, seed=seed)
+    outcome = run_spec(resolved, jobs=jobs)
     store.put(key, CacheEntry(
         name=name,
-        seed_token=f"master:{seed}",
+        seed_token=seed_token,
         digest=digest,
         rendered=outcome.rendered,
         result=outcome,

@@ -31,9 +31,11 @@ dependency either way.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +48,7 @@ __all__ = [
     "STAGES",
     "SpecError",
     "Field",
+    "apply_overrides",
     "resolve",
     "resolve_section",
     "load_spec",
@@ -85,12 +88,14 @@ class Field:
     (``floats``/``strs`` are homogeneous lists; ``table`` is a free-form
     sub-dict of scalars, used only for ``experiment.params``).  ``None``
     defaults mark optional values that are omitted from dumps.
+    ``positive`` demands a finite value > 0 (of every element, for lists).
     """
 
     default: object
     type: str
     choices: tuple | None = None
     required: bool = False
+    positive: bool = False
 
 
 #: The document schema, section by section.  ``scenario`` is universal;
@@ -111,24 +116,24 @@ SCHEMA: dict[str, dict[str, Field]] = {
     "flowsim": {
         "topology": Field("line", "str",
                           choices=("line", "star", "dumbbell")),
-        "n_nodes": Field(10, "int"),
-        "duration": Field(3600.0, "float"),
-        "sessions_per_hour": Field(4000.0, "float"),
+        "n_nodes": Field(10, "int", positive=True),
+        "duration": Field(3600.0, "float", positive=True),
+        "sessions_per_hour": Field(4000.0, "float", positive=True),
         "workloads": Field(["ftp", "exponential"], "strs",
                            choices=("ftp", "exponential")),
         "model": Field("msmo97", "str", choices=("msmo97", "csa00")),
         "discipline": Field("fair", "str", choices=("fair", "fifo")),
-        "utilization": Field(0.4, "float"),
-        "bin_width": Field(1.0, "float"),
+        "utilization": Field(0.4, "float", positive=True),
+        "bin_width": Field(1.0, "float", positive=True),
     },
     # kind = "shaping": the synthesize → police → detect closed loop.
     "shaping": {
         "model": Field("ftp", "str"),
-        "n_packets": Field(60_000, "int"),
-        "source_rate": Field(240.0, "float"),
-        "rate_factors": Field([0.3, 0.5, 0.8], "floats"),
-        "burst_seconds": Field([0.25, 1.0, 4.0], "floats"),
-        "shaper_rate_factors": Field([1.0, 1.5, 3.0], "floats"),
+        "n_packets": Field(60_000, "int", positive=True),
+        "source_rate": Field(240.0, "float", positive=True),
+        "rate_factors": Field([0.3, 0.5, 0.8], "floats", positive=True),
+        "burst_seconds": Field([0.25, 1.0, 4.0], "floats", positive=True),
+        "shaper_rate_factors": Field([1.0, 1.5, 3.0], "floats", positive=True),
         "hurst_bin_s": Field(0.01, "float"),
         "hurst_split_level": Field(8, "int"),
     },
@@ -140,10 +145,10 @@ SCHEMA: dict[str, dict[str, Field]] = {
     },
     # kind = "superpose": the Gaussian-vs-stable phase diagram.
     "superpose": {
-        "replications": Field(192, "int"),
-        "pareto_shape": Field(1.2, "float"),
-        "battery_sources": Field(50_000, "int"),
-        "chunk": Field(8192, "int"),
+        "replications": Field(192, "int", positive=True),
+        "pareto_shape": Field(1.2, "float", positive=True),
+        "battery_sources": Field(50_000, "int", positive=True),
+        "chunk": Field(8192, "int", positive=True),
     },
     # kind = "synth": source → optional conditioning → sharded battery.
     "source": {
@@ -204,6 +209,8 @@ def _check_scalar(value, field: Field, path: str):
         value = float(value)
     else:  # pragma: no cover - schema authoring error
         raise SpecError(path, f"unhandled field type {t!r}")
+    if field.positive and not 0 < value < math.inf:
+        raise SpecError(path, f"must be a finite number > 0, got {value!r}")
     if field.choices is not None and value not in field.choices:
         raise SpecError(
             path,
@@ -220,7 +227,7 @@ def _check_value(value, field: Field, path: str):
         if not isinstance(value, (list, tuple)):
             raise SpecError(path, f"expected a list, got {value!r}")
         elem = Field(None, "float" if field.type == "floats" else "str",
-                     choices=field.choices)
+                     choices=field.choices, positive=field.positive)
         return [_check_scalar(v, elem, f"{path}[{i}]")
                 for i, v in enumerate(value)]
     if field.type == "table":
@@ -367,6 +374,36 @@ def resolve_section(kind: str, cfg: dict | None = None, *,
                          f"{_suggest(key, sections)}")
         doc.update({s: cfg[s] for s in sections if s in cfg})
     return resolve(doc)
+
+
+def apply_overrides(doc: dict, assignments) -> dict:
+    """Merge ``section.key=VALUE`` assignments into a raw document.
+
+    The ``--set`` grammar: each ``VALUE`` is parsed as a TOML value
+    (``5``, ``0.5``, ``[0.5, 0.8]``, ``true``, ``"ftp"``) and, if it does
+    not parse, taken as a bare string.  The merge happens before
+    :func:`resolve`, so a mistyped key gets the resolver's key-path error
+    and the override flows into :func:`canonical_json` and the digest.
+    Returns a new document; ``doc`` is left untouched.
+    """
+    out = copy.deepcopy(doc)
+    for text in assignments:
+        path, sep, raw = text.partition("=")
+        keys = path.strip().split(".")
+        if not sep or len(keys) < 2 or not all(keys):
+            raise SpecError(path, f"expected section.key=VALUE, got {text!r}")
+        try:
+            parsed = loads_spec(f"v = {raw}")
+        except SpecError:
+            parsed = {}
+        value = parsed["v"] if list(parsed) == ["v"] else raw
+        table = out
+        for depth, key in enumerate(keys[:-1], start=1):
+            table = table.setdefault(key, {})
+            if not isinstance(table, dict):
+                raise SpecError(".".join(keys[:depth]), "is not a table")
+        table[keys[-1]] = value
+    return out
 
 
 # ----------------------------------------------------------------------

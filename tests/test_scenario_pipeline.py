@@ -13,6 +13,7 @@ from repro.scenario import (
     run_spec,
     run_spec_cached,
     sharded_summary,
+    spec_digest,
 )
 from repro.scenario.shard import shard_bounds
 
@@ -91,6 +92,37 @@ class TestSpecVsRegistryIdentity:
                                                       hours=24).render()
 
 
+#: Small configs for every family kind, seconds each.
+SMALL_CFGS = {
+    "flowsim": {"duration": 1200.0, "n_nodes": 4,
+                "sessions_per_hour": 900.0},
+    "shaping": {"n_packets": 4000, "rate_factors": [0.5],
+                "burst_seconds": [0.5], "shaper_rate_factors": [1.5]},
+    "monitor": {"duration": 200.0},
+    "superpose": {"replications": 8, "battery_sources": 64},
+}
+
+
+class TestSpawnedSeeds:
+    """``run all --spawn-seeds`` hands each family a Generator."""
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_CFGS))
+    def test_generator_seed_runs_deterministically(self, kind):
+        cfg = SMALL_CFGS[kind]
+        a = execute(kind, cfg, seed=np.random.default_rng(0))
+        b = execute(kind, cfg, seed=np.random.default_rng(0))
+        assert a.render() == b.render()
+
+    def test_shaping_int_seed_path_unchanged(self):
+        from repro.shaping.scenario import ShapingScenario, run_scenario
+
+        cfg = SMALL_CFGS["shaping"]
+        direct = run_scenario(ShapingScenario(
+            n_packets=4000, rate_factors=(0.5,), burst_seconds=(0.5,),
+            shaper_rate_factors=(1.5,), seed=3))
+        assert execute("shaping", cfg, seed=3).render() == direct.render()
+
+
 class TestSynthSharding:
     def test_jobs_do_not_change_anything(self):
         serial = run_spec(SYNTH_DOC, jobs=1)
@@ -146,6 +178,21 @@ class TestSpecCache:
         _, s2 = run_spec_cached(SYNTH_DOC, seed=4, cache=cache)
         assert (s1, s2) == ("miss", "miss")
 
+    def test_seed_override_is_written_into_the_document(self, tmp_path):
+        seeded = {**SYNTH_DOC, "scenario": {**SYNTH_DOC["scenario"],
+                                            "seed": 4}}
+        direct = run_spec(seeded)
+        for use_cache in (True, False):
+            out, _ = run_spec_cached(SYNTH_DOC, seed=4, use_cache=use_cache,
+                                     cache=ResultCache(tmp_path))
+            payload = out.payload()
+            assert payload["seed"] == 4
+            assert payload["spec_digest"] == spec_digest(seeded)
+            assert (out.result.sketch_fingerprint() ==
+                    direct.result.sketch_fingerprint())
+        _, state = run_spec_cached(seeded, cache=ResultCache(tmp_path))
+        assert state == "hit"
+
     def test_no_cache_bypasses(self, tmp_path):
         cache = ResultCache(tmp_path)
         _, s1 = run_spec_cached(SYNTH_DOC, cache=cache, use_cache=False)
@@ -198,6 +245,76 @@ class TestScenarioCli:
         assert bench.exists()
         on_disk = json.loads(bench.read_text())
         assert on_disk["battery"] == payload["battery"]
+
+    SYNTH_TOML = ('[scenario]\nname = "cli-synth"\nkind = "synth"\n'
+                  'seed = 3\n\n[source]\nmodel = "ftp"\nn_packets = 500\n')
+
+    def test_set_values_reach_the_resolved_document(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.SYNTH_TOML)
+        rc = main(["scenario", "validate", path,
+                   "--set", "source.n_packets=6000",        # int
+                   "--set", "validate.bin_width=0.05",      # float
+                   "--set", "validate.drift_check=false",   # bool
+                   "--set", "source.model=poisson"])        # bare string
+        assert rc == 0
+        out = capsys.readouterr().out
+        for line in ('n_packets = 6000', 'bin_width = 0.05',
+                     'drift_check = false', 'model = "poisson"'):
+            assert line in out
+        rc = main(["scenario", "validate", "examples/specs/shaping_grid.toml",
+                   "--set", "shaping.rate_factors=[0.5, 0.8]"])  # list
+        assert rc == 0
+        assert "rate_factors = [0.5, 0.8]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("assignment,where", [
+        ("source.n_packts=6000", "source.n_packts: unknown key (did you "
+                                 "mean 'n_packets'?)"),
+        ("sauce.model=ftp", "sauce: unknown section (did you mean "
+                            "'source'?)"),
+        ("flowsim.n_nodes=3", "flowsim: section not allowed"),
+        ("source.n_packets=many", "source.n_packets: expected an integer"),
+    ])
+    def test_set_errors_rc2_with_path(self, tmp_path, capsys, assignment,
+                                      where):
+        path = self._write(tmp_path, self.SYNTH_TOML)
+        assert main(["scenario", "run", path, "--no-cache",
+                     "--set", assignment]) == 2
+        captured = capsys.readouterr()
+        assert where in captured.err and captured.out == ""
+
+    def test_flowsim_negative_nodes_rejected(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path,
+            '[scenario]\nname = "f"\nkind = "flowsim"\n\n[flowsim]\n'
+            'n_nodes = -3\nduration = -5.0\nbin_width = 0.0\n')
+        assert main(["scenario", "validate", path]) == 2
+        assert "flowsim.n_nodes" in capsys.readouterr().err
+        for key in ("duration=-5.0", "bin_width=0.0", "utilization=nan"):
+            assert main(["scenario", "validate",
+                         "examples/specs/flowsim_line.toml",
+                         "--set", f"flowsim.{key}"]) == 2
+            assert f"flowsim.{key.split('=')[0]}" in capsys.readouterr().err
+
+    def test_set_changes_cache_key(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.SYNTH_TOML)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        states = []
+        for extra in ([], [], ["--set", "source.n_packets=501"]):
+            assert main(["scenario", "run", path, *cache, *extra]) == 0
+            states.append(capsys.readouterr().out.rsplit("cache ", 1)[1])
+        assert states == ["miss]\n", "hit]\n", "miss]\n"]
+
+    def test_seed_flag_equals_set_scenario_seed(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.SYNTH_TOML)
+        payloads = []
+        for flags in (["--seed", "5"], ["--set", "scenario.seed=5"]):
+            assert main(["scenario", "run", path, "--no-cache", "--json",
+                         *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("compute_time_s")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["seed"] == 5
 
     def test_run_unknown_file_rc2(self, tmp_path, capsys):
         assert main(["scenario", "run",

@@ -10,6 +10,7 @@ from repro.scenario import (
     SCHEMA,
     STAGES,
     SpecError,
+    apply_overrides,
     canonical_json,
     dump_spec,
     loads_spec,
@@ -157,6 +158,99 @@ def _valid_docs(draw):
         if draw(st.booleans()):
             doc.setdefault(section, {})[key] = draw(strat)
     return doc
+
+
+#: Every field whose value must be positive: the bounds the deleted
+#: ``flowsim``/``superpose``/``shaping run`` flags enforced in argparse.
+POSITIVE_FIELDS = (
+    ("flowsim", "n_nodes"), ("flowsim", "duration"),
+    ("flowsim", "sessions_per_hour"), ("flowsim", "utilization"),
+    ("flowsim", "bin_width"),
+    ("superpose", "replications"), ("superpose", "pareto_shape"),
+    ("superpose", "battery_sources"), ("superpose", "chunk"),
+    ("shaping", "n_packets"), ("shaping", "source_rate"),
+    ("shaping", "rate_factors"), ("shaping", "burst_seconds"),
+    ("shaping", "shaper_rate_factors"),
+)
+
+
+def _bad_values(section: str, key: str):
+    field = SCHEMA[section][key]
+    values = [0, -1] + ([float("nan")] if field.type != "int" else [])
+    if field.type == "floats":
+        return [[1.0, v] for v in values]
+    return values
+
+
+class TestPositiveFields:
+    def test_schema_flags_exactly_these(self):
+        flagged = {(s, k) for s, fields in SCHEMA.items()
+                   for k, f in fields.items() if f.positive}
+        assert flagged == set(POSITIVE_FIELDS)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [(s, k, v) for s, k in POSITIVE_FIELDS for v in _bad_values(s, k)],
+        ids=repr,
+    )
+    def test_non_positive_rejected_with_path(self, section, key, value):
+        doc = _minimal(section)
+        doc[section] = {key: value}
+        with pytest.raises(SpecError) as err:
+            resolve(doc)
+        assert err.value.path.startswith(f"{section}.{key}")
+        assert "> 0" in str(err.value)
+
+    def test_infinity_rejected(self):
+        doc = _minimal("flowsim")
+        doc["flowsim"] = {"duration": float("inf")}
+        with pytest.raises(SpecError, match="flowsim.duration"):
+            resolve(doc)
+
+
+class TestOverrides:
+    def test_values_parse_as_toml_else_bare_string(self):
+        doc = apply_overrides(_minimal("shaping"), [
+            "shaping.n_packets=4000",
+            "shaping.source_rate=1.5",
+            "shaping.rate_factors=[0.5, 0.8]",
+            "shaping.model=pareto",
+            "validate.drift_check=false",
+            'scenario.description="a = b"',
+        ])
+        assert doc["shaping"] == {"n_packets": 4000, "source_rate": 1.5,
+                                  "rate_factors": [0.5, 0.8],
+                                  "model": "pareto"}
+        assert doc["validate"] == {"drift_check": False}
+        assert doc["scenario"]["description"] == "a = b"
+
+    def test_input_untouched_and_later_wins(self):
+        base = _minimal("monitor")
+        doc = apply_overrides(base, ["monitor.rate=1", "monitor.rate=2"])
+        assert doc["monitor"]["rate"] == 2
+        assert "monitor" not in base
+
+    def test_extra_toml_is_a_bare_string_not_a_second_key(self):
+        doc = apply_overrides(_minimal("shaping"),
+                              ["shaping.model=1\n[x]"])
+        assert doc["shaping"]["model"] == "1\n[x]"
+        assert "x" not in doc
+
+    @pytest.mark.parametrize("text", ["nokey", "shaping=1", ".x=1",
+                                      "shaping.=1"])
+    def test_malformed_assignment(self, text):
+        with pytest.raises(SpecError, match="section.key=VALUE"):
+            apply_overrides(_minimal("shaping"), [text])
+
+    def test_override_through_a_scalar_is_rejected(self):
+        with pytest.raises(SpecError) as err:
+            apply_overrides(_minimal("shaping"), ["scenario.kind.x=1"])
+        assert err.value.path == "scenario.kind"
+
+    def test_typo_gets_resolver_key_path(self):
+        doc = apply_overrides(_minimal("flowsim"), ["flowsim.n_node=4"])
+        with pytest.raises(SpecError, match="did you mean 'n_nodes'"):
+            resolve(doc)
 
 
 class TestRoundTrip:

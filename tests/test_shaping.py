@@ -526,11 +526,15 @@ class TestScenario:
 
 
 class TestCli:
+    SPEC = "examples/specs/shaping_grid.toml"
+
     def test_shaping_run_json(self, capsys):
         rc = main([
-            "shaping", "run", "--packets", "30000",
-            "--rate-factors", "0.5", "--burst-seconds", "0.25,1.0",
-            "--shaper-rate-factors", "1.5", "--json",
+            "scenario", "run", self.SPEC, "--seed", "7", "--no-cache",
+            "--set", "shaping.n_packets=30000",
+            "--set", "shaping.rate_factors=[0.5]",
+            "--set", "shaping.burst_seconds=[0.25, 1.0]",
+            "--set", "shaping.shaper_rate_factors=[1.5]", "--json",
         ])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -541,17 +545,19 @@ class TestCli:
 
     def test_shaping_run_writes_bench_json(self, tmp_path, capsys):
         rc = main([
-            "shaping", "run", "--packets", "30000",
-            "--rate-factors", "0.5", "--burst-seconds", "0.25",
-            "--shaper-rate-factors", "1.5",
+            "scenario", "run", self.SPEC, "--seed", "7", "--no-cache",
+            "--set", "shaping.n_packets=30000",
+            "--set", "shaping.rate_factors=[0.5]",
+            "--set", "shaping.burst_seconds=[0.25]",
+            "--set", "shaping.shaper_rate_factors=[1.5]",
             "--out", str(tmp_path),
         ])
         capsys.readouterr()
         assert rc == 0
         payload = json.loads(
-            (tmp_path / "BENCH_shaping_run.json").read_text()
+            (tmp_path / "BENCH_scenario_shaping-grid.json").read_text()
         )
-        assert payload["recovery_ok"] and "wall_time_s" in payload
+        assert payload["recovery_ok"] and "compute_time_s" in payload
 
     def test_loopback_police_flag(self, capsys):
         rc = main([
