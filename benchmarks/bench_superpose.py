@@ -14,7 +14,10 @@ Two faces, mirroring ``bench_monitor.py`` / ``bench_kernels.py``:
   the per-source normalization is honest and keeps full-scale runs
   affordable), which makes the recorded numbers machine-independent;
   ``--check BASELINE`` fails when any case's normalized ratio regressed
-  past 1.5x.
+  past 1.5x.  The ``rng_setup`` case times the kernels' per-source child
+  Generator set-up (one-pass seed-state derivation plus construction)
+  against ``spawn_rngs``, whose streams it must reproduce exactly; its
+  ``loop_*`` fields describe the ``spawn_rngs`` side.
 
 The acceptance target: the batched ON/OFF kernel is >= 20x faster than
 the frozen loop at 10^5 sources (``speedup_x`` of the ``onoff_pareto``
@@ -44,6 +47,7 @@ from repro.kernels import (
     superpose_renewal,
 )
 from repro.kernels.reference import multiplex_onoff_loop, superpose_renewal_loop
+from repro.utils.rng import child_rngs, spawn_rngs
 
 #: The phase-diagram working point: short heavy-tailed periods, so each
 #: source cycles many times per horizon — the regime the batching exists
@@ -56,6 +60,8 @@ CHUNK = 4096
 #: Sources the frozen loops are timed on (they are per-source linear, so
 #: per-source time from a subsample extrapolates honestly).
 LOOP_SAMPLE = 300
+#: Children ``spawn_rngs`` is timed on in the ``rng_setup`` case.
+SPAWN_SAMPLE = 5_000
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +187,19 @@ def run_suite(scale, repeats):
     results["renewal_pareto"] = _per_source_row(
         n, ren_s, LOOP_SAMPLE, ren_loop_s)
     results["renewal_pareto"]["identity"] = "exact"
+
+    # -- per-source RNG set-up: one-pass derivation vs spawn_rngs -------
+    seq = np.random.SeedSequence(0)
+    setup_s, rngs = _time(
+        lambda: child_rngs(seq.entropy, seq.spawn_key, 0, n, seq.pool_size),
+        repeats)
+    spawn_s, spawned = _time(
+        lambda: spawn_rngs(np.random.SeedSequence(0), SPAWN_SAMPLE), repeats)
+    assert all(a.random() == b.random()
+               for a, b in zip(rngs, spawned)), "derived != spawned streams"
+    results["rng_setup"] = _per_source_row(n, setup_s, SPAWN_SAMPLE,
+                                           spawn_s)
+    results["rng_setup"]["identity"] = "exact"
 
     # -- shared-memory fan-out: metadata-only transfer, bit-identical ---
     # Wide aggregate (20k bins -> 160 KB partial per chunk task): with

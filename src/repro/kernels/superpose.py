@@ -16,12 +16,21 @@ reach.  This module synthesizes whole *chunks* of sources at once:
   followed by the other's), and the batched aggregate is bit-identical to
   the frozen per-source loop
   (:func:`repro.kernels.reference.multiplex_onoff_loop`) on the same seed;
+* child streams are derived in one pass:
+  :func:`repro.utils.rng.child_rngs` runs numpy's SeedSequence hashing
+  as uint32 array arithmetic over all of a chunk's children at once, and
+  builds each ``Generator(PCG64(...))`` from its precomputed state row
+  — the states ``SeedSequence(entropy, spawn_key=(*key, first + i),
+  pool_size=p)`` yields, checked against numpy on every call;
 * interval→bin overlap is accumulated without materializing interval
-  lists: fractional edge-bin contributions go through ``np.add.at`` on a
-  flattened per-source work matrix in slot-major order (preserving the
-  reference's per-cell add sequence), while interior fully-covered bins —
-  each covered by exactly one ON interval, since intervals are disjoint —
-  are marked in an int16 coverage-diff array and paid with a single
+  lists: each iteration takes its live (slot, source) pairs slot-major
+  and applies their fractional edge-bin contributions with one
+  ``np.add.at`` on a flattened per-source work matrix, each pair's
+  first-bin add before its last-bin add.  ``np.add.at`` applies repeated
+  indices in index order, so every cell sees the reference's
+  time-ordered add sequence.  Interior fully-covered bins — each covered
+  by exactly one ON interval, since intervals are disjoint — are marked
+  in an int16 coverage-diff array and paid with a single
   ``+= bin_width`` after a cumsum;
 * chunks fan out through :func:`repro.utils.pool.pool_map_shared`, each
   worker writing its partial aggregate into a slot of one shared buffer
@@ -54,12 +63,13 @@ from collections import deque
 from functools import partial
 
 import numpy as np
+from numpy.random import Generator
 
 from repro.arrivals.onoff import PERIOD_BLOCK, OnOffSource
 from repro.distributions.exponential import Exponential
 from repro.distributions.pareto import Pareto
 from repro.utils.pool import pool_map_shared
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, child_rngs
 from repro.utils.validation import require_count, require_positive
 
 #: Sources synthesized per batched chunk.  The chunk grid is the reduction
@@ -107,10 +117,11 @@ def _seed_info(seed: SeedLike, n_sources: int, jobs: int):
     """Resolve ``seed`` into per-source child-stream instructions.
 
     Returns either a list of already-spawned Generators (serial Generator
-    seeds only) or a picklable ``(entropy, spawn_key, first)`` triple from
-    which any process reconstructs child ``i`` as
-    ``SeedSequence(entropy, spawn_key=(*spawn_key, first + i))`` — exactly
-    the children ``utils.rng.spawn_rngs`` would hand the reference loop.
+    seeds only) or a picklable ``(entropy, spawn_key, first, pool_size)``
+    tuple from which any process reconstructs child ``i`` as
+    ``SeedSequence(entropy, spawn_key=(*spawn_key, first + i),
+    pool_size=pool_size)`` — exactly the children ``utils.rng.spawn_rngs``
+    would hand the reference loop.
     """
     if isinstance(seed, np.random.Generator):
         if jobs > 1:
@@ -123,21 +134,16 @@ def _seed_info(seed: SeedLike, n_sources: int, jobs: int):
     if isinstance(seed, np.random.SeedSequence):
         first = seed.n_children_spawned
         seed.spawn(n_sources)  # advance the counter exactly like spawn_rngs
-        return (seed.entropy, seed.spawn_key, first)
+        return (seed.entropy, seed.spawn_key, first, seed.pool_size)
     seq = np.random.SeedSequence(seed)
-    return (seq.entropy, seq.spawn_key, 0)
+    return (seq.entropy, seq.spawn_key, 0, seq.pool_size)
 
 
 def _child_rngs(seed_info, lo: int, hi: int) -> list[np.random.Generator]:
     if isinstance(seed_info, list):
         return seed_info[lo:hi]
-    entropy, spawn_key, first = seed_info
-    return [
-        np.random.default_rng(
-            np.random.SeedSequence(entropy, spawn_key=(*spawn_key, first + i))
-        )
-        for i in range(lo, hi)
-    ]
+    entropy, spawn_key, first, pool_size = seed_info
+    return child_rngs(entropy, spawn_key, first + lo, hi - lo, pool_size)
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +179,7 @@ def _onoff_chunk(out, lo, hi, source, n_bins, bin_width, seed_info,
     S = block * n_rounds  # periods per iteration
     shalf = S // 2  # ON slots per iteration
 
-    phase_on = np.empty(m, dtype=bool)
-    for i, rng in enumerate(rngs):
-        phase_on[i] = rng.random() < 0.5
+    phase_on = np.fromiter(map(Generator.random, rngs), float, m) < 0.5
 
     work = np.zeros((m, n_bins))
     work_flat = work.ravel()
@@ -277,52 +281,43 @@ def _onoff_chunk(out, lo, hi, source, n_bins, bin_width, seed_info,
         bounds_flat = bounds.ravel()
         n_live = np.count_nonzero(bounds[:, :-1] < duration, axis=1)
         flat0 = np.arange(n_alive) * (S + 1)
-        wbase = a_rows * n_bins
-        cbase = a_rows * (n_bins + 1)
 
         # ON slots are every other period starting at the phase offset.
-        # All slot planes are computed at once on (shalf, n_alive) matrices
-        # (slot-major layout, so each plane below is a contiguous row);
-        # the scatter loop then walks slots in time order, preserving the
-        # reference's per-cell add sequence.  Within one slot each source
-        # contributes at most one interval, so every scatter hits unique
-        # cells and a fancy-indexed `+=` is exact (and much faster than
-        # ``np.add.at``).
-        cols = np.where(a_phase, 0, 1)[None, :] + cols_off[:, None]
-        gidx = flat0[None, :] + cols
+        # The live (slot, source) pairs are taken slot-major, so one
+        # ordered ``np.add.at`` (which applies repeated indices in index
+        # order) gives every cell the reference's time-ordered add
+        # sequence: each pair's first-bin add, then its last-bin add.
+        cols = np.where(a_phase, 0, 1) + cols_off[:, None]
+        live = cols < n_live
+        gidx = (flat0 + cols)[live]
+        rows = np.broadcast_to(a_rows, cols.shape)[live]
         sv = bounds_flat[gidx]
         ev = np.minimum(bounds_flat[gidx + 1], duration)
         first = (sv / bin_width).astype(np.int64)
         np.minimum(first, n_bins - 1, out=first)
         last = (ev / bin_width).astype(np.int64)
         np.minimum(last, n_bins - 1, out=last)
-        live = cols < n_live[None, :]
-        single = first == last
-        widx_f = wbase[None, :] + first
-        widx_l = wbase[None, :] + last
-        val_s = ev - sv
-        val_l = (first + 1) * bin_width - sv
-        val_r = ev - last * bin_width
-        cidx_f = cbase[None, :] + first
-        cidx_l = cbase[None, :] + last
-        for s in range(shalf):
-            lv = live[s]
-            if lv.all():
-                sgl = single[s]
-                mlt = ~sgl
-            else:
-                if not lv.any():
-                    break  # cols grow with s: no later slot is live either
-                sgl = single[s] & lv
-                mlt = lv & ~single[s]
-            if sgl.any():
-                work_flat[widx_f[s][sgl]] += val_s[s][sgl]
-            if mlt.any():
-                used_cover = True
-                work_flat[widx_f[s][mlt]] += val_l[s][mlt]
-                work_flat[widx_l[s][mlt]] += val_r[s][mlt]
-                cover_flat[cidx_f[s][mlt] + 1] += np.int16(1)
-                cover_flat[cidx_l[s][mlt]] -= np.int16(1)
+        wb = rows * n_bins
+        idx = np.empty((gidx.size, 2), dtype=np.int64)
+        val = np.empty((gidx.size, 2))
+        np.add(wb, first, out=idx[:, 0])
+        np.add(wb, last, out=idx[:, 1])
+        # A single-bin interval adds its length once; its second add is
+        # -0.0, which leaves every float (signed zeros included) unchanged.
+        np.subtract(ev, sv, out=val[:, 0])
+        val[:, 1] = -0.0
+        mlt = np.flatnonzero(first != last)
+        if mlt.size:
+            used_cover = True
+            fm, lm = first[mlt], last[mlt]
+            val[mlt, 0] = (fm + 1) * bin_width - sv[mlt]
+            val[mlt, 1] = ev[mlt] - lm * bin_width
+            # +1 after the first bin, -1 at the last.  int16 operands keep
+            # ``np.add.at`` on its fast typed loop.
+            cb = rows[mlt] * (n_bins + 1)
+            np.add.at(cover_flat, cb + fm + 1, np.int16(1))
+            np.add.at(cover_flat, cb + lm, np.int16(-1))
+        np.add.at(work_flat, idx.ravel(), val.ravel())
 
         cont = (n_live == S) & (bounds[:, -1] < duration)
         if cont.all():
@@ -348,12 +343,12 @@ def _onoff_chunk(out, lo, hi, source, n_bins, bin_width, seed_info,
         covered = np.cumsum(cover[:, :-1], axis=1, dtype=np.int16)
         work[covered == 1] += bin_width
     work *= source.rate
-    if group_size is None:
-        for row in work:
-            out += row
-    else:
-        for j, row in enumerate(work):
-            out[j // group_size] += row
+    # Row j of group g is added into out[g] in j order: one vectorized
+    # add over all groups per j, the same fully-left sum per group.
+    rows = work.reshape(-1, group_size or m, n_bins)
+    acc = out[:len(rows)] if group_size else out[None]
+    for j in range(rows.shape[1]):
+        acc += rows[:, j]
     return {"sources": m, "rounds": rounds}
 
 

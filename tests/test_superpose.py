@@ -133,6 +133,66 @@ class TestOnOffLoopIdentity:
         assert all(m["rounds"] >= 1 for m in meta)
 
 
+class TestSeedSequenceChildren:
+    """The kernels rebuild child ``i`` from the parent's picklable seed
+    info; it must be the child ``spawn_rngs`` hands the frozen loops."""
+
+    def test_pool_size_carried_to_children(self):
+        src = PAIRINGS["pareto/exp"]
+        loop = multiplex_onoff_loop(
+            12, 16, 1.0, src, seed=np.random.SeedSequence(7, pool_size=8))
+        batched = superpose_onoff(
+            12, 16, 1.0, source=src,
+            seed=np.random.SeedSequence(7, pool_size=8), chunk=12)
+        assert np.array_equal(batched, loop)
+        ren_loop = superpose_renewal_loop(
+            12, 16, 1.0, Pareto(1.0, 1.2),
+            seed=np.random.SeedSequence(7, pool_size=8), gap_block=32)
+        ren = superpose_renewal(
+            12, 16, 1.0, gap_dist=Pareto(1.0, 1.2),
+            seed=np.random.SeedSequence(7, pool_size=8), gap_block=32)
+        assert np.array_equal(ren, ren_loop)
+
+    @staticmethod
+    def _advanced(spawned=9):
+        seq = np.random.SeedSequence(31, spawn_key=(2, 2**33))
+        seq.spawn(spawned)
+        return seq
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_onoff_from_advanced_counter(self, jobs):
+        src = PAIRINGS["pareto/pareto"]
+        seq = self._advanced()
+        out = superpose_onoff(20, 16, 1.0, source=src, seed=seq, chunk=20,
+                              jobs=jobs)
+        assert seq.n_children_spawned == 9 + 20
+        loop = multiplex_onoff_loop(20, 16, 1.0, src, seed=self._advanced())
+        assert np.array_equal(out, loop)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_groups_from_advanced_counter(self, jobs):
+        src = PAIRINGS["exp/pareto"]
+        seq = self._advanced()
+        rows = superpose_onoff_groups(3, 5, 8, 2.0, source=src, seed=seq,
+                                      chunk=5, jobs=jobs)
+        assert seq.n_children_spawned == 9 + 15
+        base = self._advanced()
+        for g in range(3):
+            standalone = superpose_onoff(5, 8, 2.0, source=src, seed=base,
+                                         chunk=5)
+            assert np.array_equal(rows[g], standalone), g
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_renewal_from_advanced_counter(self, jobs):
+        seq = self._advanced()
+        out = superpose_renewal(20, 16, 1.0, seed=seq, chunk=7, jobs=jobs,
+                                gap_block=32)
+        assert seq.n_children_spawned == 9 + 20
+        loop = superpose_renewal_loop(20, 16, 1.0, Pareto(1.0, 1.2),
+                                      seed=self._advanced(), gap_block=32)
+        assert np.array_equal(out, loop)
+
+
 class TestGroupedKernel:
     def test_rows_bit_identical_to_standalone(self):
         src = OnOffSource.pareto(on_location=0.1, off_location=0.1)
