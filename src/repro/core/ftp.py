@@ -25,12 +25,12 @@ from repro.arrivals.poisson import homogeneous_poisson
 from repro.distributions.lognormal import Log2Normal
 from repro.distributions.pareto import Pareto
 from repro.utils.pool import pool_map
-from repro.kernels.segments import grouped_sum
+from repro.kernels.segments import grouped_cumsum, grouped_sum, segment_starts
 from repro.stats.tail import concentration_curve, top_fraction_share
 from repro.traces.columns import ConnectionBatch, decode_protocols
 from repro.traces.records import ConnectionRecord
 from repro.traces.trace import ConnectionTrace
-from repro.utils.rng import SeedLike, as_rng, spawn_rngs
+from repro.utils.rng import SeedLike, as_rng, spawn_rngs, spawn_streams
 from repro.utils.validation import require_positive
 
 #: The paper's burst-coalescing spacing rule (seconds).  Footnoted as robust:
@@ -256,10 +256,11 @@ class FtpSessionModel:
         gaps, all connection weights, all intra-burst gaps, and the control
         record's byte counts — each as one vectorized call.  Sessions are
         therefore independent (``jobs > 1`` fans them over a process pool
-        with identical output), and the default ``batch=True`` assembly
-        computes every connection's start time with one ``cumsum`` over the
-        session's increments, bit-identical to the scalar accumulation of
-        ``batch=False``.
+        with identical output).  The default ``batch=True`` path derives
+        the children in one pass (``spawn_streams``, the same streams) and
+        assembles all sessions at once, every connection's start time from
+        one segmented ``cumsum`` over per-session ``[t0, increments...]``,
+        bit-identical to the scalar accumulation of ``batch=False``.
 
         The batched path assembles columns (:meth:`synthesize_columns` is
         the array-native entry point; :meth:`synthesize_trace` skips record
@@ -358,7 +359,7 @@ class FtpSessionModel:
                 self.sessions_per_hour / 3600.0, duration, seed=rng
             )
         t0s = np.asarray(session_starts, dtype=float)
-        session_rngs = spawn_rngs(rng, t0s.size)
+        session_rngs = spawn_streams(rng, t0s.size)
 
         if jobs == 1 or t0s.size <= 1:
             cols = _session_group_columns(self, first_session_id, t0s,
@@ -480,43 +481,81 @@ def _session_draws(model, rng, gap_dist, conn_count, burst_bytes):
 def _session_group_columns(model: FtpSessionModel, sid0, t0s, rngs):
     """Pool worker: columns for a contiguous group of sessions.
 
-    Per session the row order is the FTPDATA connections in start order
-    followed by the FTP control row — the same order the record paths
-    emit, so the concatenated columns are bit-identical to them.
+    Only the draws loop over sessions (each session's stream in its frozen
+    order); assembly then runs once over the whole group.  Per session the
+    row order is the FTPDATA connections in start order followed by the
+    FTP control row — the order the record paths emit.  Every column is
+    bit-identical to assembling each session on its own: ``wsum`` is a
+    per-burst ``grouped_sum``, ``shares`` and ``durs`` are elementwise,
+    and the start times are one ``grouped_cumsum`` over per-session
+    segments ``[t0, incs...]`` — the very array the scalar walk
+    ``t += inc`` accumulates, with ``t0`` summed first.
     """
     gap_dist, conn_count, burst_bytes = _session_distributions(model)
-    parts = []
-    for k, (t0, rng) in enumerate(zip(t0s, rngs)):
-        t0 = float(t0)
-        (orig, resp, n_conns, totals, inter_gaps, weights, intra,
-         ctrl_orig, ctrl_resp) = _session_draws(
-            model, rng, gap_dist, conn_count, burst_bytes)
-        shares, durs, conn_starts, session_end = _assemble_batched(
-            model, t0, n_conns, totals, inter_gaps, weights, intra
-        )
-        n = conn_starts.size
-        starts = np.append(conn_starts, t0)
-        durations = np.append(durs, max(session_end - t0, 1.0))
-        codes = np.full(n + 1, _FTPDATA_CODE, dtype=np.int8)
-        codes[-1] = _FTP_CODE
-        b_orig = np.zeros(n + 1, dtype=np.int64)
-        b_orig[-1] = ctrl_orig
-        b_resp = np.append(shares, np.int64(ctrl_resp))
-        parts.append((
-            starts, durations, codes, b_orig, b_resp,
-            np.full(n + 1, orig, dtype=np.int64),
-            np.full(n + 1, resp, dtype=np.int64),
-            np.full(n + 1, sid0 + k, dtype=np.int64),
-        ))
-    if not parts:
+    draws = [_session_draws(model, rng, gap_dist, conn_count, burst_bytes)
+             for rng in rngs]
+    n_sess = len(draws)
+    if not n_sess:
         return (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int8),
                 np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(
-        np.concatenate([p[j] for p in parts]) for j in range(len(parts[0]))
+    (orig, resp, n_conns, totals, inter_gaps, weights, intra,
+     ctrl_orig, ctrl_resp) = zip(*draws)
+    bursts_per = np.fromiter(map(len, n_conns), np.int64, n_sess)
+    n_conns = np.concatenate(n_conns)
+    weights = np.concatenate(weights)
+    wsum = grouped_sum(weights, n_conns)
+    shares = np.maximum(
+        (np.repeat(np.concatenate(totals), n_conns) * weights
+         / np.repeat(wsum, n_conns)).astype(np.int64),
+        1,
+    )
+    durs = model.setup_overhead + shares / model.transfer_rate
+
+    # Session segments [t0, (conn incs, burst gap) per burst]: the head,
+    # then each burst's connections and its gap.
+    conns_per = np.add.reduceat(n_conns, segment_starts(bursts_per))
+    seg_len = 1 + conns_per + bursts_per
+    heads = segment_starts(seg_len)
+    session_of_burst = np.repeat(np.arange(n_sess), bursts_per)
+    gap_pos = np.cumsum(n_conns + 1) + session_of_burst
+    vals = np.empty(int(seg_len.sum()))
+    conn_mask = np.ones(vals.size, dtype=bool)
+    conn_mask[heads] = False
+    conn_mask[gap_pos] = False
+    vals[heads] = t0s
+    vals[gap_pos] = np.concatenate(inter_gaps) + BURST_SPACING_SECONDS
+    vals[conn_mask] = durs + np.concatenate(intra)
+    full = grouped_cumsum(vals, seg_len)
+    # A connection starts at the running time before its own increment;
+    # a session ends before its last burst's gap.
+    conn_starts = full[:-1][conn_mask[1:]]
+    session_end = full[heads + seg_len - 2]
+
+    # Output rows: each session's connections, then its control row.
+    rows_per = conns_per + 1
+    ctrl = np.cumsum(rows_per) - 1
+    data = np.ones(int(rows_per.sum()), dtype=bool)
+    data[ctrl] = False
+    starts = np.empty(data.size)
+    starts[data] = conn_starts
+    starts[ctrl] = t0s
+    durations = np.empty(data.size)
+    durations[data] = durs
+    durations[ctrl] = np.maximum(session_end - t0s, 1.0)
+    codes = np.full(data.size, _FTPDATA_CODE, dtype=np.int8)
+    codes[ctrl] = _FTP_CODE
+    b_orig = np.zeros(data.size, dtype=np.int64)
+    b_orig[ctrl] = ctrl_orig
+    b_resp = np.empty(data.size, dtype=np.int64)
+    b_resp[data] = shares
+    b_resp[ctrl] = ctrl_resp
+    return (
+        starts, durations, codes, b_orig, b_resp,
+        np.repeat(np.array(orig, dtype=np.int64), rows_per),
+        np.repeat(np.array(resp, dtype=np.int64), rows_per),
+        np.repeat(sid0 + np.arange(n_sess, dtype=np.int64), rows_per),
     )
 
 
@@ -555,33 +594,6 @@ def _one_session_records(model, sid, t0, rng, gap_dist, conn_count,
         )
     )
     return records
-
-
-def _assemble_batched(model, t0, n_conns, totals, inter_gaps, weights, intra):
-    """Vectorized assembly: one ``cumsum`` over the session's interleaved
-    increments (connection ``duration + intra gap``, then burst
-    ``inter gap + spacing``).  ``cumsum`` accumulates sequentially, so every
-    start time is bit-identical to the scalar ``t += inc`` walk of
-    :func:`_assemble_loop`."""
-    wsum = grouped_sum(weights, n_conns)
-    shares = np.maximum(
-        (np.repeat(totals, n_conns) * weights
-         / np.repeat(wsum, n_conns)).astype(np.int64),
-        1,
-    )
-    durs = model.setup_overhead + shares / model.transfer_rate
-    seg_len = n_conns + 1
-    total_len = int(seg_len.sum())
-    gap_pos = np.cumsum(seg_len) - 1
-    conn_mask = np.ones(total_len, dtype=bool)
-    conn_mask[gap_pos] = False
-    incs = np.empty(total_len)
-    incs[conn_mask] = durs + intra
-    incs[gap_pos] = inter_gaps + BURST_SPACING_SECONDS
-    full = np.cumsum(np.concatenate(([t0], incs)))
-    conn_starts = full[:-1][conn_mask]
-    session_end = float(full[-2])
-    return shares, durs, conn_starts, session_end
 
 
 def _assemble_loop(model, sid, t0, n_conns, totals, inter_gaps, weights,

@@ -69,7 +69,7 @@ from repro.arrivals.onoff import PERIOD_BLOCK, OnOffSource
 from repro.distributions.exponential import Exponential
 from repro.distributions.pareto import Pareto
 from repro.utils.pool import pool_map_shared
-from repro.utils.rng import SeedLike, child_rngs
+from repro.utils.rng import SeedLike, child_rngs, child_streams
 from repro.utils.validation import require_count, require_positive
 
 #: Sources synthesized per batched chunk.  The chunk grid is the reduction
@@ -116,27 +116,23 @@ def _raw_spec(dist):
 def _seed_info(seed: SeedLike, n_sources: int, jobs: int):
     """Resolve ``seed`` into per-source child-stream instructions.
 
-    Returns either a list of already-spawned Generators (serial Generator
-    seeds only) or a picklable ``(entropy, spawn_key, first, pool_size)``
-    tuple from which any process reconstructs child ``i`` as
-    ``SeedSequence(entropy, spawn_key=(*spawn_key, first + i),
-    pool_size=pool_size)`` — exactly the children ``utils.rng.spawn_rngs``
-    would hand the reference loop.
+    Returns a picklable ``(entropy, spawn_key, first, pool_size)`` tuple
+    (:func:`repro.utils.rng.child_streams`) from which any process
+    reconstructs child ``i`` as ``SeedSequence(entropy,
+    spawn_key=(*spawn_key, first + i), pool_size=pool_size)`` — exactly the
+    children ``utils.rng.spawn_rngs`` would hand the reference loop, with
+    a caller's ``SeedSequence`` or ``Generator`` counter advanced as
+    ``spawn_rngs`` advances it.  A Generator whose children are not PCG64
+    streams of a plain SeedSequence yields its spawned Generators instead.
     """
-    if isinstance(seed, np.random.Generator):
-        if jobs > 1:
-            raise ValueError(
-                "jobs > 1 requires an int / SeedSequence / None seed; a "
-                "live Generator cannot be split across processes "
-                "reproducibly"
-            )
-        return seed.spawn(n_sources)
-    if isinstance(seed, np.random.SeedSequence):
-        first = seed.n_children_spawned
-        seed.spawn(n_sources)  # advance the counter exactly like spawn_rngs
-        return (seed.entropy, seed.spawn_key, first, seed.pool_size)
-    seq = np.random.SeedSequence(seed)
-    return (seq.entropy, seq.spawn_key, 0, seq.pool_size)
+    if isinstance(seed, np.random.Generator) and jobs > 1:
+        raise ValueError(
+            "jobs > 1 requires an int / SeedSequence / None seed; a "
+            "live Generator cannot be split across processes "
+            "reproducibly"
+        )
+    info = child_streams(seed, n_sources)
+    return seed.spawn(n_sources) if info is None else info
 
 
 def _child_rngs(seed_info, lo: int, hi: int) -> list[np.random.Generator]:

@@ -9,6 +9,7 @@ reproducible by passing a single integer at the top level.
 
 from __future__ import annotations
 
+import pickle
 from typing import Optional, Union
 
 import numpy as np
@@ -140,6 +141,90 @@ def child_rngs(entropy, spawn_key, first: int, n: int,
     states = child_seed_states(entropy, spawn_key, first, n, pool_size)
     return [np.random.Generator(np.random.PCG64(_PresetSeed(row)))
             for row in states]
+
+
+#: Where ``n_children_spawned`` sits in the state tuple of numpy's
+#: Cython-generated ``SeedSequence.__reduce__``: the fields in name order
+#: (entropy, n_children_spawned, pool, pool_size, spawn_key).
+_COUNTER_FIELD = 1
+
+
+def _advance_spawn_counter(seq: np.random.SeedSequence, n: int) -> int:
+    """Advance ``seq``'s spawn counter by ``n`` in O(1), as ``seq.spawn(n)``
+    would, and return the number of the first child it hands out.
+
+    ``n_children_spawned`` is read-only, so the counter is rewritten
+    through the pickle state.  Every call first advances two probe copies,
+    one by ``spawn(1)`` and one through the state, and raises
+    ``RuntimeError`` unless they pickle identically, so a numpy release
+    that changes the pickle layout fails loudly instead of silently
+    reusing children.
+    """
+    first = seq.n_children_spawned
+    ctor, args, state = seq.__reduce__()
+    if not (isinstance(state, tuple) and len(state) > _COUNTER_FIELD
+            and state[_COUNTER_FIELD] == first):
+        raise RuntimeError(
+            f"numpy {np.__version__} changed SeedSequence's pickle layout; "
+            "cannot advance its spawn counter"
+        )
+
+    def with_counter(count):
+        return (state[:_COUNTER_FIELD] + (count,)
+                + state[_COUNTER_FIELD + 1:])
+
+    spawned, rewritten = ctor(*args), ctor(*args)
+    spawned.__setstate__(state)
+    spawned.spawn(1)
+    rewritten.__setstate__(with_counter(first + 1))
+    if pickle.dumps(spawned) != pickle.dumps(rewritten):
+        raise RuntimeError(
+            f"numpy {np.__version__} changed SeedSequence's pickle layout; "
+            "rewriting its spawn counter no longer matches spawn()"
+        )
+    seq.__setstate__(with_counter(first + n))
+    return first
+
+
+def child_streams(seed: SeedLike, n: int):
+    """Reserve the ``n`` children ``spawn_rngs(seed, n)`` would hand out,
+    without building them.
+
+    Returns ``(entropy, spawn_key, first, pool_size)``: child ``i`` is
+    ``SeedSequence(entropy, spawn_key=(*spawn_key, first + i),
+    pool_size=pool_size)``, which :func:`child_rngs` derives in one pass
+    in any process.  The parent's spawn counter advances by ``n`` in O(1),
+    so successive calls on one ``SeedSequence`` or ``Generator`` draw
+    disjoint children exactly as successive ``spawn_rngs`` calls do.
+    Returns ``None``, and advances nothing, for a Generator whose children
+    would not be PCG64 streams of a plain ``SeedSequence``.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if isinstance(seed, np.random.Generator):
+        seq = seed.bit_generator.seed_seq
+        if type(seed.bit_generator) is not np.random.PCG64:
+            return None
+    elif isinstance(seed, np.random.SeedSequence):
+        seq = seed
+    else:
+        seq = np.random.SeedSequence(seed)
+    if type(seq) is not np.random.SeedSequence:
+        return None
+    first = _advance_spawn_counter(seq, n)
+    return (seq.entropy, seq.spawn_key, first, seq.pool_size)
+
+
+def spawn_streams(seed: SeedLike, n: int) -> list[np.random.Generator]:
+    """The streams of ``spawn_rngs(seed, n)``, derived in one pass through
+    :func:`child_streams` and :func:`child_rngs` (falling back to
+    ``spawn_rngs`` where :func:`child_streams` cannot).  Like
+    :func:`child_rngs`, the Generators cannot ``spawn``."""
+    info = child_streams(seed, n)
+    if info is None:
+        return spawn_rngs(seed, n)
+    entropy, spawn_key, first, pool_size = info
+    return child_rngs(entropy, spawn_key, first, n, pool_size)
 
 
 def _hash_steps(hc: int, mult: int, count: int):

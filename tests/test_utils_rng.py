@@ -142,3 +142,98 @@ def test_preset_seed_rejects_other_requests(n_words, dtype):
     assert shim.generate_state(4, np.uint64) is row
     with pytest.raises(RuntimeError, match="PCG64"):
         shim.generate_state(n_words, dtype)
+
+
+# ----------------------------------------------------------------------
+# child_streams: O(1) spawn-counter advance
+# ----------------------------------------------------------------------
+def _next_child_state(seq):
+    return seq.spawn(1)[0].generate_state(4, np.uint64)
+
+
+@given(st.integers(min_value=0, max_value=2**64), SPAWN_KEY,
+       st.integers(min_value=0, max_value=50),
+       st.integers(min_value=0, max_value=10_000), st.sampled_from([4, 8]))
+@example(7, (2**32, 2**40 + 1), 3, 0, 8)
+@example(0, (), 0, 0, 4)
+@settings(max_examples=60, deadline=None)
+def test_child_streams_advance_matches_spawn(entropy, spawn_key, before, n,
+                                             pool_size):
+    """After reserving ``n`` children, the parent's counter and its next
+    ``spawn(1)`` child are those ``seq.spawn(n)`` leaves behind."""
+    def fresh():
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                     pool_size=pool_size)
+        seq.spawn(before)
+        return seq
+
+    fast, ref = fresh(), fresh()
+    info = rng_mod.child_streams(fast, n)
+    ref.spawn(n)
+    assert info == (entropy, spawn_key, before, pool_size)
+    assert fast.n_children_spawned == ref.n_children_spawned == before + n
+    assert np.array_equal(_next_child_state(fast), _next_child_state(ref))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.default_rng(12),
+    lambda: np.random.SeedSequence(12, pool_size=8),
+    lambda: 12,
+])
+def test_spawn_streams_match_spawn_rngs(make):
+    fast, ref = make(), make()
+    for n in (3, 0, 5):  # successive calls hand out disjoint children
+        got, want = rng_mod.spawn_streams(fast, n), spawn_rngs(ref, n)
+        assert len(got) == len(want) == n
+        assert all(a.random() == b.random() for a, b in zip(got, want))
+
+
+def test_child_streams_other_bit_generator_declines():
+    """Children of a non-PCG64 Generator are not PCG64 streams: decline
+    (and advance nothing), so callers fall back to ``spawn``."""
+    gen = np.random.Generator(np.random.Philox(3))
+    assert rng_mod.child_streams(gen, 4) is None
+    assert gen.bit_generator.seed_seq.n_children_spawned == 0
+    got = rng_mod.spawn_streams(gen, 2)
+    want = spawn_rngs(np.random.Generator(np.random.Philox(3)), 2)
+    assert all(a.random() == b.random() for a, b in zip(got, want))
+
+
+def test_child_streams_negative_raises():
+    with pytest.raises(ValueError):
+        rng_mod.child_streams(1, -1)
+
+
+@pytest.mark.parametrize("field, before", [(0, 0), (3, 4)])
+def test_counter_advance_layout_mismatch_raises(monkeypatch, field, before):
+    """A pickle layout that moved the counter fails loudly: the counter
+    check (``field`` 0 is the entropy) or, where the value happens to
+    match (``pool_size`` 4 after 4 children), the ``spawn(1)`` probe."""
+    monkeypatch.setattr(rng_mod, "_COUNTER_FIELD", field)
+    seq = np.random.SeedSequence(5)
+    seq.spawn(before)
+    with pytest.raises(RuntimeError, match="pickle layout"):
+        rng_mod.child_streams(seq, 3)
+    assert seq.n_children_spawned == before
+
+
+def test_successive_superpose_calls_draw_disjoint_children():
+    """Two kernel calls on one SeedSequence draw disjoint children and
+    each still matches the frozen loop on the same SeedSequence."""
+    from repro.arrivals.onoff import OnOffSource
+    from repro.kernels import superpose_onoff
+    from repro.kernels.reference import multiplex_onoff_loop
+
+    src = OnOffSource.pareto(on_location=0.2, off_location=0.2)
+    seq_fast, seq_ref = np.random.SeedSequence(21), np.random.SeedSequence(21)
+    outs = []
+    for n in (6, 9):
+        got = superpose_onoff(n, 16, 1.0, source=src, seed=seq_fast,
+                              chunk=n)
+        want = multiplex_onoff_loop(n, 16, 1.0, src, seed=seq_ref)
+        assert np.array_equal(got, want)
+        outs.append(got)
+    assert seq_fast.n_children_spawned == seq_ref.n_children_spawned == 15
+    # The second call's sources are children 6..14, not 0..8 again.
+    again = superpose_onoff(9, 16, 1.0, source=src, seed=21, chunk=9)
+    assert not np.array_equal(outs[1], again)
